@@ -11,12 +11,18 @@ import io
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import evaluation, experiment, matching
 from .corpus import load_corpus_jsonl
-from .errors import InvariantViolation, MalformedRow, MindrecError, NoCitations
+from .errors import (
+    InvalidConfig,
+    InvariantViolation,
+    MalformedInput,
+    MalformedRow,
+    MindrecError,
+    NoCitations,
+)
 from .evaluation import RecEvent, SetRating
 from .mindmap import MindMapCollection, parse_mindmap, read_event_log
 
@@ -27,6 +33,7 @@ def load_user_collections(mindmaps_dir):
     File stem is the map id; an optional `__rev<N>` suffix marks later
     revisions.  A sidecar events.csv, when present, is the canonical
     event log for the user and overrides derivation from revisions.
+    A map or sidecar that cannot be read raises a MindrecError naming it.
     """
     root = Path(mindmaps_dir)
     collections = {}
@@ -35,9 +42,12 @@ def load_user_collections(mindmaps_dir):
         for path in sorted(user_dir.glob("*.mm")):
             stem = path.stem
             map_id, _, rev = stem.partition("__rev")
-            revision = int(rev) if rev else 1
-            mindmap = parse_mindmap(path.read_bytes(), map_id=map_id,
-                                    revision=revision)
+            try:
+                revision = int(rev) if rev else 1
+                mindmap = parse_mindmap(path.read_bytes(), map_id=map_id,
+                                        revision=revision)
+            except (ValueError, MindrecError) as exc:
+                raise MalformedInput(f"{path}: {exc}") from exc
             mindmap.saved_at = max(
                 (mindmap.node(n).modified_at for n in mindmap.node_ids()),
                 default=0,
@@ -92,27 +102,41 @@ def load_ratings(path):
         reader = csv.DictReader(handle)
         for i, row in enumerate(reader, start=2):
             try:
-                stars = int(row["stars"])
-                if not 1 <= stars <= 5:
-                    raise ValueError(f"stars {stars} outside 1..5")
-                ratings.append(SetRating(row["set_id"], row["user_id"], stars,
+                rating = int(row["rating"])
+                if not 1 <= rating <= 5:
+                    raise ValueError(f"rating {rating} outside 1..5")
+                ratings.append(SetRating(row["set_id"], row["user_id"], rating,
                                          int(row["at"])))
             except (KeyError, TypeError, ValueError) as exc:
                 raise MalformedRow(f"{path}: row {i}: {exc}") from exc
     return ratings
 
 
+def _parse_file(parse, path):
+    """Apply a config or space parser to a file, naming it in errors."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"{path}: {exc}") from exc
+
+
 def _load_config(args):
-    if args.preset:
-        return experiment.preset(args.preset)
-    if args.config:
-        return experiment.parse_config(Path(args.config).read_text(encoding="utf-8"))
-    return experiment.preset("docear_combined")
+    """--preset, else --config, else the docear_combined preset; validated."""
+    if args.config and not args.preset:
+        return _parse_file(experiment.parse_config, args.config)
+    config = experiment.preset(args.preset or "docear_combined")
+    config.validate()
+    return config
 
 
 def _preresolve_citations(corpus, collections):
-    """Resolve every node link up front, in deterministic order, so later
-    (possibly parallel) evaluation never mutates the corpus."""
+    """Resolve every node link up front, users in sorted order.
+
+    Each citation of an unknown title mints a ghost document, and the
+    document count N enters every idf = ln(N/df).  Minting them all before
+    any model is built fixes the order of their ids and makes N the same
+    for every user, whatever order the users are evaluated in.
+    """
     for user_id in sorted(collections):
         for mindmap in collections[user_id].latest_maps():
             for node_id in mindmap.node_ids():
@@ -201,36 +225,22 @@ def cmd_offline_eval(args):
     _preresolve_citations(corpus, collections)
     space = None
     if args.space:
-        space = experiment.parse_space(Path(args.space).read_text(encoding="utf-8"))
-    fixed_config = None if space else _load_config(args)
-
-    def evaluate(user_id):
-        if space:
-            rng = random.Random(matching.derive_seed(args.seed, user_id))
-            config = experiment.random_config(space, rng)
-        else:
-            config = fixed_config
-        try:
-            return offline_result_row(
-                evaluation.offline_evaluate_user(collections[user_id], corpus, config)
-            )
-        except NoCitations:
-            return None
-
-    user_ids = sorted(collections)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(evaluate, user_ids))
-    else:
-        results = [evaluate(u) for u in user_ids]
+        space = _parse_file(experiment.parse_space, args.space)
+    config = None if space else _load_config(args)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["user_id", "algorithm", "target_rank",
                      "p_at_3", "p_at_10", "mrr", "ndcg"])
-    for row in results:
-        if row is not None:
-            writer.writerow(row)
+    for user_id in sorted(collections):
+        if space:
+            rng = random.Random(matching.derive_seed(args.seed, user_id))
+            config = experiment.random_config(space, rng)
+        try:
+            result = evaluation.offline_evaluate_user(collections[user_id], corpus, config)
+        except NoCitations:
+            continue
+        writer.writerow(offline_result_row(result))
     _write(args.out, buf.getvalue())
     return 0
 
@@ -363,7 +373,6 @@ def build_parser():
     p = sub.add_parser("offline-eval")
     common(p, corpus=True, mindmaps=True, seeded=True, config=True)
     p.add_argument("--space")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_offline_eval)
 
     p = sub.add_parser("metrics")

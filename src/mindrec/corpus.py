@@ -7,7 +7,6 @@ and citation features can share one query (mixed user models).
 
 import json
 import math
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -55,7 +54,6 @@ class Corpus:
         self.term_index = {}      # term -> {doc_id: tf}
         self.citation_index = {}  # cited doc_id -> {citing doc_id: count}
         self._next_id = 1
-        self._lock = threading.Lock()
 
     def __len__(self):
         return len(self.documents)
@@ -73,14 +71,13 @@ class Corpus:
     def resolve_citation(self, reference):
         """Map a cited title onto a document id, minting one if unseen."""
         key = cleantitle(reference)
-        with self._lock:
-            doc_id = self.cleantitle_index.get(key)
-            if doc_id is not None:
-                return doc_id
-            doc_id = self._fresh_id()
-            self.documents[doc_id] = Document(doc_id, reference, key)
-            self.cleantitle_index[key] = doc_id
+        doc_id = self.cleantitle_index.get(key)
+        if doc_id is not None:
             return doc_id
+        doc_id = self._fresh_id()
+        self.documents[doc_id] = Document(doc_id, reference, key)
+        self.cleantitle_index[key] = doc_id
+        return doc_id
 
     def ingest_document(self, title, body_terms=None, citations=()):
         """Insert a document, merging with any same-cleantitle record."""

@@ -81,6 +81,10 @@ class UnknownPreset(MindrecError):
     pass
 
 
+class InvalidConfig(MindrecError, ValueError):
+    """A configuration or variable space with an unknown key or value."""
+
+
 class InvariantViolation(MindrecError):
     pass
 

@@ -32,7 +32,7 @@ class RecEvent:
 class SetRating:
     set_id: str
     user_id: str
-    stars: int
+    rating: int
     at: int
 
 
@@ -64,14 +64,19 @@ def compute_ndcg(candidate_ids, relevant_ids):
     return dcg / idcg if idcg else 0.0
 
 
-def _citation_nodes(collection):
-    """(created_at, map_id, node_id, link) for every link-bearing node
-    in the latest revisions, newest first."""
+def _creation_times(collection):
+    """(map_id, node_id) -> time of the node's latest created event."""
     created = {}
     for event in collection.events:
         if event.kind == "created":
             key = (event.map_id, event.node_id)
             created[key] = max(created.get(key, event.at), event.at)
+    return created
+
+
+def _citation_nodes(collection, created):
+    """(created_at, map_id, node_id, link) for every link-bearing node
+    in the latest revisions, newest first."""
     found = []
     for mindmap in collection.latest_maps():
         for node_id in mindmap.node_ids():
@@ -85,8 +90,10 @@ def _citation_nodes(collection):
 
 def offline_evaluate_user(collection, corpus, config, pool_size=50):
     """Remove the most recently added citation (and everything newer),
-    rebuild the model, and check where the removed paper ranks."""
-    citations = _citation_nodes(collection)
+    rebuild the model, and check where the removed paper ranks.  A map
+    whose root is newer than that citation is left out whole."""
+    created = _creation_times(collection)
+    citations = _citation_nodes(collection, created)
     if not citations:
         raise NoCitations(f"user {collection.user_id!r} has no cited nodes")
     target_at, target_map, target_node, target_link = citations[0]
@@ -98,12 +105,6 @@ def offline_evaluate_user(collection, corpus, config, pool_size=50):
         if doc_id not in relevant:
             relevant.append(doc_id)
 
-    created = {}
-    for event in collection.events:
-        if event.kind == "created":
-            key = (event.map_id, event.node_id)
-            created[key] = max(created.get(key, event.at), event.at)
-
     pruned_maps = []
     for mindmap in collection.latest_maps():
         drop = {
@@ -111,6 +112,8 @@ def offline_evaluate_user(collection, corpus, config, pool_size=50):
             if created.get((mindmap.map_id, node_id),
                            mindmap.node(node_id).created_at) > target_at
         }
+        if mindmap.root.id in drop:
+            continue
         strip = {target_node} if mindmap.map_id == target_map else set()
         pruned_maps.append(copy_mindmap(mindmap, drop_node_ids=drop,
                                         strip_link_ids=strip))
@@ -182,7 +185,7 @@ def _rates(events, ratings):
     ]
     if ratings:
         rows.append(("mean_rating",
-                     sum(r.stars for r in ratings) / len(ratings), len(ratings)))
+                     sum(r.rating for r in ratings) / len(ratings), len(ratings)))
     return rows
 
 
@@ -196,26 +199,20 @@ def online_metrics(events, ratings=(), group_by=None, set_attrs=None):
     """
     events = _dedupe(events)
 
-    def group_of_event(e):
+    def group_of(record):
+        """Group of an event or a rating; both carry user_id and set_id."""
         if group_by is None:
             return "all"
         if group_by == "user_id":
-            return e.user_id
-        return (set_attrs or {}).get(e.set_id, {}).get(group_by, "unknown")
-
-    def group_of_rating(r):
-        if group_by is None:
-            return "all"
-        if group_by == "user_id":
-            return r.user_id
-        return (set_attrs or {}).get(r.set_id, {}).get(group_by, "unknown")
+            return record.user_id
+        return (set_attrs or {}).get(record.set_id, {}).get(group_by, "unknown")
 
     grouped_events = {}
     for e in events:
-        grouped_events.setdefault(group_of_event(e), []).append(e)
+        grouped_events.setdefault(group_of(e), []).append(e)
     grouped_ratings = {}
     for r in ratings:
-        grouped_ratings.setdefault(group_of_rating(r), []).append(r)
+        grouped_ratings.setdefault(group_of(r), []).append(r)
 
     if group_by is None and not grouped_events:
         raise NoImpressions("no shown events")

@@ -1,21 +1,19 @@
 """Algorithm configurations: named presets, random assembly over a
-variable space, flat-text serialization, and the generic model-building
-pipeline driven by a configuration."""
+variable space, flat-text serialization, and model building from a
+configuration."""
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
-from .errors import NoPositiveFeatures, UnknownPreset
+from .errors import InvalidConfig, UnknownPreset
+from .mindmap import EVENT_KINDS
 from .usermodel import (
+    COMBINERS,
+    NODE_METRICS,
+    TRANSFORMS,
     FeatureConfig,
     NodeWeightConfig,
     SelectionConfig,
-    build_user_model,
-    docear_combined_model,
-    extend_selection,
-    extract_features,
-    select_nodes,
-    weigh_nodes,
-    weight_features,
+    model_from_config,
 )
 
 UNBOUNDED = 1_000_000_000
@@ -32,6 +30,28 @@ PRESET_NAMES = (
 )
 
 
+# Allowed values of each choice field; extension and metrics hold a
+# subset of theirs.
+CHOICES = {
+    "event_kind": EVENT_KINDS + ("any",),
+    "visibility": ("visible_only", "invisible_only", "all"),
+    "extension": ("children", "siblings", "parents"),
+    "metrics": NODE_METRICS,
+    "transform": tuple(TRANSFORMS),
+    "direction": ("stronger", "weaker"),
+    "combiner": COMBINERS,
+    "feature_type": ("terms", "citations", "both"),
+    "scheme": TERM_SCHEMES + CITATION_SCHEMES,
+}
+
+
+def _check_choice(key, value):
+    allowed = CHOICES[key]
+    for member in value if isinstance(value, (frozenset, tuple)) else (value,):
+        if member not in allowed:
+            raise InvalidConfig(f"{key}: {member!r} is not one of {', '.join(allowed)}")
+
+
 @dataclass
 class AlgorithmConfig:
     selection: SelectionConfig
@@ -40,16 +60,24 @@ class AlgorithmConfig:
     preset_name: str | None = None
 
     def validate(self):
-        limits = (self.selection.map_limit, self.selection.node_limit,
-                  self.selection.day_window)
-        if all(v is None for v in limits):
-            raise ValueError("selection needs map_limit, node_limit, or day_window")
-        if self.features.feature_type == "terms":
-            assert self.features.scheme in TERM_SCHEMES
-        elif self.features.feature_type == "citations":
-            assert self.features.scheme in CITATION_SCHEMES
-        if self.features.model_size < 1:
-            raise ValueError("model_size must be >= 1")
+        """Raise InvalidConfig unless every field holds a value the
+        pipeline can run."""
+        sel, feat = self.selection, self.features
+        if sel.map_limit is None and sel.node_limit is None and sel.day_window is None:
+            raise InvalidConfig("selection needs map_limit, node_limit, or day_window")
+        if sel.fallback_any and sel.node_limit is None:
+            raise InvalidConfig("fallback_any needs node_limit")
+        values = _flatten(self)
+        for key in CHOICES:
+            _check_choice(key, values[key])
+        if self.node_weighting is not None and not self.node_weighting.metrics:
+            raise InvalidConfig("metrics: node weighting needs at least one metric")
+        schemes = {"terms": TERM_SCHEMES, "citations": CITATION_SCHEMES}
+        if feat.scheme not in schemes.get(feat.feature_type, CHOICES["scheme"]):
+            raise InvalidConfig(
+                f"scheme {feat.scheme!r} does not fit feature_type {feat.feature_type!r}")
+        if feat.model_size < 1:
+            raise InvalidConfig("model_size must be >= 1")
 
 
 def preset(name):
@@ -96,6 +124,7 @@ def preset(name):
                 node_limit=75, day_window=90, event_kind="moved",
                 visibility="visible_only",
                 extension=frozenset({"children", "siblings"}),
+                fallback_any=True,
             ),
             node_weighting=NodeWeightConfig(metrics=("depth", "siblings"),
                                             transform="ln", direction="stronger",
@@ -145,6 +174,7 @@ def random_config(space, rng):
     generator draws never depends on what was drawn.
     """
     drawn = {key: rng.choice(space[key]) for key in _DRAW_ORDER}
+    drawn["node_weighting"] = drawn.pop("use_node_weighting")
 
     # Scheme must match the feature type.
     if drawn["feature_type"] == "citations":
@@ -158,57 +188,83 @@ def random_config(space, rng):
         fallback = [v for v in space["node_limit"] if v is not None]
         drawn["node_limit"] = fallback[0]
 
-    node_weighting = None
-    if drawn["use_node_weighting"]:
-        node_weighting = NodeWeightConfig(
-            metrics=tuple(drawn["metrics"]),
-            transform=drawn["transform"],
-            direction=drawn["direction"],
-            combiner=drawn["combiner"],
-        )
-    config = AlgorithmConfig(
-        selection=SelectionConfig(
-            map_limit=drawn["map_limit"],
-            node_limit=drawn["node_limit"],
-            day_window=drawn["day_window"],
-            event_kind=drawn["event_kind"],
-            visibility=drawn["visibility"],
-            extension=frozenset(drawn["extension"]),
-        ),
-        node_weighting=node_weighting,
-        features=FeatureConfig(
-            feature_type=drawn["feature_type"],
-            scheme=drawn["scheme"],
-            remove_stopwords=drawn["remove_stopwords"],
-            model_size=drawn["model_size"],
-            store_weights=drawn["store_weights"],
-        ),
-    )
+    config = _assemble(drawn)
     config.validate()
     return config
 
 
 def build_model(collection, corpus, config, now):
     """Run the full pipeline a configuration describes."""
-    if config.preset_name == "docear_combined":
-        return docear_combined_model(collection, corpus, now)
     if config.preset_name == "stereotype":
         raise ValueError("stereotype configurations are handled by dispatch")
-    selection = select_nodes(collection, config.selection, now)
-    selection = extend_selection(collection, selection, config.selection.extension)
-    weighted_nodes = weigh_nodes(collection, selection, config.node_weighting)
-    occurrences = extract_features(
-        collection, weighted_nodes, config.features.feature_type,
-        config.features.remove_stopwords, corpus=corpus,
-    )
-    if not occurrences:
-        raise NoPositiveFeatures("selection yielded no features")
-    weighted = weight_features(occurrences, config.features.scheme,
-                               corpus=corpus, collection=collection)
-    return build_user_model(weighted, config.features, collection.user_id, built_at=now)
+    return model_from_config(collection, corpus, config, now)
 
 
 # --- flat key=value serialization ------------------------------------------
+
+def _flag(raw):
+    if raw not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {raw!r}")
+    return raw == "true"
+
+
+def _optional(parse):
+    return lambda raw: None if raw == "none" else parse(raw)
+
+
+def _names(kind):
+    return lambda raw: kind() if raw in ("", "none") else kind(raw.split("+"))
+
+
+# Every config-file key, in file order, with the parser of its text.  The
+# keys besides preset_name and node_weighting (the on/off switch of that
+# section) are the fields of the three section dataclasses.
+PARSERS = {
+    "preset_name": _optional(str),
+    "map_limit": _optional(int),
+    "node_limit": _optional(int),
+    "day_window": _optional(int),
+    "event_kind": str,
+    "visibility": str,
+    "extension": _names(frozenset),
+    "fallback_any": _flag,
+    "node_weighting": _flag,
+    "metrics": _names(tuple),
+    "transform": str,
+    "direction": str,
+    "combiner": str,
+    "feature_type": str,
+    "scheme": str,
+    "remove_stopwords": _flag,
+    "model_size": int,
+    "store_weights": _flag,
+}
+
+_SECTIONS = {"selection": SelectionConfig, "node_weighting": NodeWeightConfig,
+             "features": FeatureConfig}
+
+
+def _flatten(config):
+    """key -> value for every PARSERS key; a switched-off node_weighting
+    section reads as its defaults."""
+    values = {"preset_name": config.preset_name,
+              "node_weighting": config.node_weighting is not None}
+    for name, cls in _SECTIONS.items():
+        values.update(asdict(getattr(config, name) or cls()))
+    return values
+
+
+def _assemble(values):
+    """AlgorithmConfig from key -> value pairs; a key left out keeps the
+    default of its field."""
+    sections = {
+        name: cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
+        for name, cls in _SECTIONS.items()
+    }
+    if not values.get("node_weighting"):
+        sections["node_weighting"] = None
+    return AlgorithmConfig(preset_name=values.get("preset_name"), **sections)
+
 
 def _fmt(value):
     if value is None:
@@ -222,81 +278,43 @@ def _fmt(value):
     return str(value)
 
 
+def _parse(key, raw):
+    try:
+        value = PARSERS[key](raw)
+    except ValueError as exc:
+        raise InvalidConfig(f"{key}: {exc}") from exc
+    if key in CHOICES:
+        _check_choice(key, value)
+    return value
+
+
+def _lines(text):
+    """(line number, key, raw value) per `key = value` line, skipping
+    blank lines and # comments."""
+    for number, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            key, _, raw = line.partition("=")
+            yield number, key.strip(), raw.strip()
+
+
 def serialize_config(config):
     """Round-trip-stable `key = value` lines covering every field."""
-    sel, nw, feat = config.selection, config.node_weighting, config.features
-    pairs = [
-        ("preset_name", config.preset_name),
-        ("map_limit", sel.map_limit),
-        ("node_limit", sel.node_limit),
-        ("day_window", sel.day_window),
-        ("event_kind", sel.event_kind),
-        ("visibility", sel.visibility),
-        ("extension", sel.extension),
-        ("node_weighting", nw is not None),
-        ("metrics", nw.metrics if nw else ()),
-        ("transform", nw.transform if nw else "abs"),
-        ("direction", nw.direction if nw else "stronger"),
-        ("combiner", nw.combiner if nw else "sum"),
-        ("feature_type", feat.feature_type),
-        ("scheme", feat.scheme),
-        ("remove_stopwords", feat.remove_stopwords),
-        ("model_size", feat.model_size),
-        ("store_weights", feat.store_weights),
-    ]
-    return "".join(f"{key} = {_fmt(value)}\n" for key, value in pairs)
-
-
-def _parse_value(key, raw):
-    if raw == "none":
-        return None
-    if key in ("map_limit", "node_limit", "day_window", "model_size"):
-        return int(raw)
-    if key in ("node_weighting", "remove_stopwords", "store_weights"):
-        return raw == "true"
-    if key == "extension":
-        return frozenset(raw.split("+"))
-    if key == "metrics":
-        return tuple(raw.split("+")) if raw else ()
-    return raw
+    values = _flatten(config)
+    return "".join(f"{key} = {_fmt(values[key])}\n" for key in PARSERS)
 
 
 def parse_config(text):
+    """The validated configuration `key = value` lines describe; keys left
+    out keep their defaults and unknown keys are rejected."""
     values = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        values[key] = _parse_value(key, raw.strip())
-    node_weighting = None
-    if values.get("node_weighting"):
-        node_weighting = NodeWeightConfig(
-            metrics=values.get("metrics") or ("depth",),
-            transform=values.get("transform", "abs"),
-            direction=values.get("direction", "stronger"),
-            combiner=values.get("combiner", "sum"),
-        )
-    return AlgorithmConfig(
-        selection=SelectionConfig(
-            map_limit=values.get("map_limit"),
-            node_limit=values.get("node_limit"),
-            day_window=values.get("day_window"),
-            event_kind=values.get("event_kind", "any"),
-            visibility=values.get("visibility", "all"),
-            extension=values.get("extension") or frozenset(),
-        ),
-        node_weighting=node_weighting,
-        features=FeatureConfig(
-            feature_type=values.get("feature_type", "terms"),
-            scheme=values.get("scheme", "tf_only"),
-            remove_stopwords=values.get("remove_stopwords", False),
-            model_size=values.get("model_size", 25),
-            store_weights=values.get("store_weights", False),
-        ),
-        preset_name=values.get("preset_name"),
-    )
+    for number, key, raw in _lines(text):
+        if key not in PARSERS:
+            raise InvalidConfig(f"line {number}: unknown key {key!r}")
+        values[key] = _parse(key, raw)
+    config = _assemble(values)
+    config.validate()
+    return config
 
 
 def parse_space(text):
@@ -305,20 +323,9 @@ def parse_space(text):
     Unlisted fields keep their DEFAULT_SPACE candidates.
     """
     space = dict(DEFAULT_SPACE)
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, raw = line.partition("=")
-        key = key.strip()
+    for number, key, raw in _lines(text):
         if key not in DEFAULT_SPACE:
-            raise ValueError(f"unknown variable {key!r}")
-        values = [_parse_value(key if key != "use_node_weighting" else "node_weighting",
-                               v.strip())
-                  for v in raw.split(",")]
-        if key == "extension":
-            values = [v if v is not None else frozenset() for v in values]
-        if key == "metrics":
-            values = [v if v is not None else () for v in values]
-        space[key] = values
+            raise InvalidConfig(f"line {number}: unknown variable {key!r}")
+        config_key = "node_weighting" if key == "use_node_weighting" else key
+        space[key] = [_parse(config_key, v.strip()) for v in raw.split(",")]
     return space

@@ -181,7 +181,6 @@ def derive_events(revisions):
     sibling index) pair.  A sidecar event log, when available, should be
     preferred over this reconstruction.
     """
-    seen = set()
     last = None
     for rev in revisions:
         if last is not None:
@@ -192,7 +191,6 @@ def derive_events(revisions):
                     f"revision {rev.revision} after {last.revision}"
                 )
         last = rev
-        seen.add(rev.revision)
 
     events = []
     for prev, cur in zip(revisions, revisions[1:]):
@@ -275,7 +273,8 @@ def read_event_log(path_or_file):
                     raise ValueError(f"bad kind {kind!r}")
                 events.append(NodeEvent(row["map_id"], row["node_id"], kind, int(row["at"])))
             except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedRow(f"row {i}: {exc}") from exc
+                name = getattr(handle, "name", "event log")
+                raise MalformedRow(f"{name}: row {i}: {exc}") from exc
     return events
 
 

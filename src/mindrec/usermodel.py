@@ -1,12 +1,12 @@
 """User-model construction pipeline.
 
 select nodes -> extend -> weight nodes -> extract features -> weight
-features -> truncate; plus the fixed combined algorithm that chains the
-best-performing choice at every stage.
+features -> truncate.  The combined algorithm is one configuration of it
+(the ``docear_combined`` preset).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .corpus import citation_feature
 from .errors import (
@@ -39,6 +39,7 @@ class SelectionConfig:
     event_kind: str = "any"          # created | edited | moved | any
     visibility: str = "all"          # visible_only | invisible_only | all
     extension: frozenset = frozenset()  # subset of {children, siblings, parents}
+    fallback_any: bool = False       # < node_limit nodes -> select again, event_kind any
 
 
 @dataclass
@@ -74,6 +75,8 @@ def select_nodes(collection, cfg, now):
 
     Nodes are ordered by their latest matching event, newest first, with
     (map_id, node_id) as the tie break, then truncated to node_limit.
+    With fallback_any, fewer than node_limit nodes means selecting again
+    with event_kind "any".
     """
     if collection.is_empty():
         raise EmptyCollection(f"user {collection.user_id!r} has no mind maps")
@@ -117,6 +120,9 @@ def select_nodes(collection, cfg, now):
     result = [(m, n) for _, m, n in selected]
     if cfg.node_limit is not None:
         result = result[: cfg.node_limit]
+    if cfg.fallback_any and len(result) < cfg.node_limit:
+        return select_nodes(collection, replace(cfg, event_kind="any", fallback_any=False),
+                            now)
     return result
 
 
@@ -284,46 +290,25 @@ def build_user_model(weighted_features, cfg, user_id, built_at=0):
     return UserModel(user_id=user_id, features=features, config=cfg, built_at=built_at)
 
 
-COMBINED_SELECTION = SelectionConfig(
-    node_limit=75,
-    day_window=90,
-    event_kind="moved",
-    visibility="visible_only",
-    extension=frozenset({"children", "siblings"}),
-)
-COMBINED_NODE_WEIGHTS = NodeWeightConfig(
-    metrics=("depth", "siblings"), transform="ln", direction="stronger", combiner="sum",
-)
-COMBINED_FEATURES = FeatureConfig(
-    feature_type="terms", scheme="tf_iduf", remove_stopwords=True,
-    model_size=35, store_weights=False,
-)
-
-
-def docear_combined_model(collection, corpus, now, built_at=None):
-    """The combined algorithm: recently moved visible nodes from the last
-    90 days (falling back to any modification kind when fewer than 75
-    qualify), extended by children and siblings, depth+sibling ln node
-    weighting, stop-worded TF-IDuF terms, top 35 stored unweighted."""
-    selection = select_nodes(collection, COMBINED_SELECTION, now)
-    if len(selection) < COMBINED_SELECTION.node_limit:
-        fallback = SelectionConfig(
-            node_limit=COMBINED_SELECTION.node_limit,
-            day_window=COMBINED_SELECTION.day_window,
-            event_kind="any",
-            visibility=COMBINED_SELECTION.visibility,
-            extension=COMBINED_SELECTION.extension,
-        )
-        selection = select_nodes(collection, fallback, now)
-    selection = extend_selection(collection, selection, COMBINED_SELECTION.extension)
-    weighted_nodes = weigh_nodes(collection, selection, COMBINED_NODE_WEIGHTS)
+def model_from_config(collection, corpus, config, now):
+    """Run every stage the configuration's selection, node_weighting and
+    features sections describe, ending in the model built at `now`."""
+    features = config.features
+    selection = select_nodes(collection, config.selection, now)
+    selection = extend_selection(collection, selection, config.selection.extension)
+    weighted_nodes = weigh_nodes(collection, selection, config.node_weighting)
     occurrences = extract_features(
-        collection, weighted_nodes, "terms", remove_stopwords=True, corpus=corpus
+        collection, weighted_nodes, features.feature_type,
+        features.remove_stopwords, corpus=corpus,
     )
     if not occurrences:
         raise NoPositiveFeatures("selection yielded no features")
-    weighted = weight_features(occurrences, "tf_iduf", corpus=corpus, collection=collection)
-    return build_user_model(
-        weighted, COMBINED_FEATURES, collection.user_id,
-        built_at=now if built_at is None else built_at,
-    )
+    weighted = weight_features(occurrences, features.scheme,
+                               corpus=corpus, collection=collection)
+    return build_user_model(weighted, features, collection.user_id, built_at=now)
+
+
+def docear_combined_model(collection, corpus, now):
+    """The combined algorithm: the ``docear_combined`` preset's model."""
+    from .experiment import preset  # experiment imports this module
+    return model_from_config(collection, corpus, preset("docear_combined"), now)

@@ -1,13 +1,15 @@
 import csv
 import random
+import re
 
 import pytest
 
 from mindrec import cli, evaluation, experiment
 from mindrec.corpus import load_corpus_jsonl
-from mindrec.errors import InvariantViolation, MalformedRow
+from mindrec.errors import InvariantViolation, MalformedRow, MindrecError
+from mindrec.mindmap import MindMap, serialize_mindmap
 
-from conftest import write_cli_fixture
+from conftest import DAY_MS, node, write_cli_fixture
 
 
 def run(argv):
@@ -41,6 +43,19 @@ class TestMetricsCommand:
         assert run(["reiterate", "--events", events, "--out", out]) == 0
         rows = {r["iteration"]: r for r in csv.DictReader(open(out))}
         assert rows["2"]["oblivious"] == "1"
+
+    def test_ratings_in_documented_layout(self, tmp_path):
+        events = tmp_path / "e.csv"
+        events.write_text("set_id,doc_id,user_id,kind,at\ns1,d1,u,shown,1\n")
+        ratings = tmp_path / "r.csv"
+        ratings.write_text("set_id,user_id,rating,at\ns1,u,4,2\ns1,u,2,3\n")
+        out = tmp_path / "report.csv"
+        assert run(["metrics", "--events", events, "--ratings", ratings,
+                    "--out", out]) == 0
+        rows = {r["metric"]: r
+                for r in csv.DictReader(out.read_text().splitlines())}
+        assert (rows["mean_rating"]["value"], rows["mean_rating"]["n"]) == \
+            ("3.000000", "2")
 
 
 class TestReplayEventLog:
@@ -122,24 +137,34 @@ class TestOfflineEvalCommand:
             assert float(row["mrr"]) == pytest.approx(result.mrr_term, abs=1e-6)
             assert float(row["ndcg"]) == pytest.approx(result.ndcg, abs=1e-6)
 
-    def test_thread_count_invariance(self, tmp_path):
-        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=6)
-        outs = []
-        for threads in (1, 8):
-            out = tmp_path / f"off{threads}.csv"
-            assert run(["offline-eval", "--corpus", corpus_path,
-                        "--mindmaps", maps_dir, "--seed", 11, "--now", now,
-                        "--space", write_space(tmp_path),
-                        "--threads", threads, "--out", out]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+    def test_map_started_after_citation(self, tmp_path):
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        later = MindMap("later", node("late_root", "afterthought",
+                                      created_at=now - DAY_MS))
+        (maps_dir / "user01" / "later.mm").write_bytes(serialize_mindmap(later))
+        out = tmp_path / "offline.csv"
+        assert run(["offline-eval", "--corpus", corpus_path,
+                    "--mindmaps", maps_dir, "--seed", 3, "--now", now,
+                    "--preset", "all_maps_all_terms", "--out", out]) == 0
+        users = [row["user_id"]
+                 for row in csv.DictReader(out.read_text().splitlines())]
+        assert users == ["user00", "user01"]
 
-
-def write_space(tmp_path):
-    p = tmp_path / "space.txt"
-    p.write_text("node_limit = 5, 10\nscheme = tf_only, tf_idf\n"
-                 "feature_type = terms\n")
-    return p
+    @pytest.mark.parametrize("text", [
+        "node_limt = 5\n",
+        "node_limit = 5\nnode_weighting = true\ntransform = bogus\n",
+        "event_kind = moved\n",
+    ], ids=["unknown_key", "bad_choice", "no_selection_bound"])
+    def test_bad_config_rejected(self, tmp_path, capsys, text):
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        config = tmp_path / "bad.cfg"
+        config.write_text(text)
+        assert run(["offline-eval", "--corpus", corpus_path,
+                    "--mindmaps", maps_dir, "--seed", 3, "--now", now,
+                    "--config", config, "--out", tmp_path / "o.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: ")
+        assert "Traceback" not in err
 
 
 class TestExportCommand:
@@ -177,3 +202,17 @@ class TestIngestCommands:
         assert run(["ingest-mindmaps", "--mindmaps", maps_dir]) == 0
         out = capsys.readouterr().out
         assert "user00" in out and "user01" in out
+
+    @pytest.mark.parametrize("name, data", [
+        ("m__revx.mm", b'<map><node ID="a"/></map>'),
+        ("broken.mm", b"<map>\n"),
+        ("events.csv", b"map_id,node_id,kind,at\nm,n,created,x\n"),
+    ], ids=["non_numeric_revision", "unclosed_map", "bad_sidecar_row"])
+    def test_bad_map_file_named(self, tmp_path, capsys, name, data):
+        _, maps_dir, _ = write_cli_fixture(tmp_path, n_users=2)
+        bad = maps_dir / "user01" / name
+        bad.write_bytes(data)
+        with pytest.raises(MindrecError, match=re.escape(str(bad))):
+            cli.load_user_collections(maps_dir)
+        assert run(["ingest-mindmaps", "--mindmaps", maps_dir]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")

@@ -15,6 +15,7 @@ from mindrec.evaluation import (
     reiteration_report,
 )
 from mindrec.experiment import AlgorithmConfig
+from mindrec.mindmap import MindMap, MindMapCollection
 from mindrec.usermodel import DAY_MS, FeatureConfig, SelectionConfig
 
 from conftest import node, single_map_collection
@@ -124,6 +125,22 @@ class TestOfflineEvaluate:
         a = offline_evaluate_user(collection, corpus, simple_config())
         b = offline_evaluate_user(collection, corpus, simple_config())
         assert a == b
+
+    def test_map_started_after_citation_dropped(self):
+        # a map begun after the target citation is left out whole, not
+        # pruned down to nothing
+        now = 1_000 * DAY_MS
+        corpus = Corpus()
+        corpus.ingest_document("Zorblax Quuxify Theory",
+                               body_terms=["zorblax", "quuxify"])
+        corpus.ingest_document("Later Map Paper", body_terms=["later", "map"])
+        corpus.ingest_document("Padding Doc", body_terms=["padding"])
+        first = user_with_citation("Zorblax Quuxify Theory",
+                                   ["zorblax quuxify"], now)
+        later = MindMap("m2", node("r2", "later map", created_at=now - DAY_MS))
+        collection = MindMapCollection("u", first.latest_maps() + [later])
+        result = offline_evaluate_user(collection, corpus, simple_config())
+        assert result.target_rank == 1
 
 
 def shown(set_id, doc, user="u", at=0):

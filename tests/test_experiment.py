@@ -1,18 +1,26 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from mindrec.errors import UnknownPreset
+import mindrec
+from mindrec.errors import InvalidConfig, UnknownPreset
 from mindrec.experiment import (
     DEFAULT_SPACE,
     PRESET_NAMES,
+    build_model,
     parse_config,
     parse_space,
     preset,
     random_config,
     serialize_config,
 )
+
+from conftest import scripted_collection, small_corpus
 
 
 class TestPresets:
@@ -113,3 +121,48 @@ class TestSpaceFile:
     def test_unknown_key(self):
         with pytest.raises(ValueError):
             parse_space("bogus = 1\n")
+
+    def test_unknown_value(self):
+        with pytest.raises(InvalidConfig, match="bogus"):
+            parse_space("scheme = tf_only, bogus\n")
+
+
+class TestConfigFile:
+    def test_combined_fields_are_honoured(self):
+        text = serialize_config(preset("docear_combined"))
+        text = text.replace("model_size = 35", "model_size = 5")
+        collection, now = scripted_collection()
+        model = build_model(collection, small_corpus(), parse_config(text), now)
+        assert 0 < len(model.features) <= 5
+
+    def test_unknown_key(self):
+        with pytest.raises(InvalidConfig, match="node_limt"):
+            parse_config("node_limt = 5\n")
+
+    def test_bad_choice(self):
+        cfg = preset("all_maps_all_terms")
+        cfg.selection.event_kind = "bogus"
+        with pytest.raises(InvalidConfig, match="event_kind"):
+            cfg.validate()
+
+    def test_scheme_must_fit_feature_type(self):
+        cfg = preset("all_maps_all_terms")
+        cfg.features.scheme = "cc_idf"
+        with pytest.raises(InvalidConfig, match="scheme"):
+            cfg.validate()
+
+    def test_validate_raises_under_optimize(self):
+        code = (
+            "from mindrec.experiment import preset\n"
+            "cfg = preset('all_maps_all_terms')\n"
+            "cfg.features.feature_type = 'citations'\n"
+            "try:\n"
+            "    cfg.validate()\n"
+            "except ValueError:\n"
+            "    print('rejected')\n"
+        )
+        src = str(Path(mindrec.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "rejected\n"), done.stderr

@@ -9,6 +9,7 @@ from mindrec.errors import (
     EmptyScores,
     NoPositiveFeatures,
 )
+from mindrec.experiment import build_model, preset
 from mindrec.mindmap import MindMap, MindMapCollection, NodeEvent, is_visible
 from mindrec.usermodel import (
     DAY_MS,
@@ -372,6 +373,19 @@ class TestCombinedAlgorithm:
             "u", [MindMap("m1", root), other], events=events)
         model = docear_combined_model(collection, corpus3, now)
         assert len(model.features) > 0  # fallback (kind=any) engaged
+
+    def test_preset_through_generic_pipeline(self, corpus3):
+        root = node("r", "quantum research", children=[
+            node("a", "neural ranking"), node("b", "citation graph")])
+        now = 1_000 * DAY_MS
+        events = [NodeEvent("m1", nid, "created", now - DAY_MS)
+                  for nid in ("r", "a", "b")]
+        other = MindMap("m2", node("r2", "unrelated filler"))
+        collection = MindMapCollection(
+            "u", [MindMap("m1", root), other], events=events)
+        model = build_model(collection, corpus3, preset("docear_combined"), now)
+        assert model == docear_combined_model(collection, corpus3, now)
+        assert model.features
 
     def test_stopword_only_text(self, corpus3):
         root = node("r", "the and of", children=[node("a", "to from")])
