@@ -3,9 +3,9 @@ with its experimentation and evaluation harness."""
 
 from .corpus import Corpus, cleantitle, load_corpus_jsonl
 from .errors import MindrecError
-from .experiment import AlgorithmConfig, preset, random_config
+from .experiment import AlgorithmConfig, docear_combined_model, preset, random_config
 from .mindmap import MindMap, MindMapCollection, MindNode, NodeEvent, parse_mindmap
-from .usermodel import UserModel, docear_combined_model
+from .usermodel import UserModel
 
 __all__ = [
     "AlgorithmConfig",

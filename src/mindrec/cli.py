@@ -121,12 +121,10 @@ def _parse_file(parse, path):
 
 
 def _load_config(args):
-    """--preset, else --config, else the docear_combined preset; validated."""
-    if args.config and not args.preset:
+    """--config, else --preset, else the docear_combined preset; validated."""
+    if args.config:
         return _parse_file(experiment.parse_config, args.config)
-    config = experiment.preset(args.preset or "docear_combined")
-    config.validate()
-    return config
+    return experiment.preset(args.preset or "docear_combined")
 
 
 def _preresolve_citations(corpus, collections):
@@ -340,7 +338,7 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="mindrec")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, corpus=False, mindmaps=False, seeded=False, config=False):
+    def common(p, corpus=False, mindmaps=False, seeded=False):
         if corpus:
             p.add_argument("--corpus", required=True)
         if mindmaps:
@@ -348,10 +346,14 @@ def build_parser():
         if seeded:
             p.add_argument("--seed", type=int, required=True)
             p.add_argument("--now", type=int, default=0)
-        if config:
-            p.add_argument("--config")
-            p.add_argument("--preset", choices=experiment.PRESET_NAMES)
         p.add_argument("--out")
+
+    def config_choice(p):
+        """--config and --preset, of which at most one may be given."""
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--config")
+        group.add_argument("--preset", choices=experiment.PRESET_NAMES)
+        return group
 
     p = sub.add_parser("ingest-corpus")
     common(p, corpus=True)
@@ -362,7 +364,8 @@ def build_parser():
     p.set_defaults(func=cmd_ingest_mindmaps)
 
     p = sub.add_parser("recommend")
-    common(p, corpus=True, mindmaps=True, seeded=True, config=True)
+    common(p, corpus=True, mindmaps=True, seeded=True)
+    config_choice(p)
     p.add_argument("--user", required=True)
     p.add_argument("--stereotype")
     p.add_argument("--p-stereotype", type=float, default=0.01)
@@ -371,8 +374,8 @@ def build_parser():
     p.set_defaults(func=cmd_recommend)
 
     p = sub.add_parser("offline-eval")
-    common(p, corpus=True, mindmaps=True, seeded=True, config=True)
-    p.add_argument("--space")
+    common(p, corpus=True, mindmaps=True, seeded=True)
+    config_choice(p).add_argument("--space")
     p.set_defaults(func=cmd_offline_eval)
 
     p = sub.add_parser("metrics")
@@ -402,7 +405,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MindrecError as exc:
+    except (MindrecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,7 +10,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import EmptyQuery, EmptyTitle
+from .errors import EmptyQuery, EmptyTitle, MalformedRow
 from .text import tokenize
 
 CITATION_PREFIX = "citation:"
@@ -146,22 +146,38 @@ class Corpus:
         return ranked
 
 
+def _strings(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def load_corpus_jsonl(path_or_file):
-    """Build a corpus from JSON-lines: {"title", "terms"?, "citations"?}."""
+    """Build a corpus from JSON-lines: {"title", "terms"?, "citations"?}.
+
+    A line that is not a JSON record with a non-empty title and, where
+    given, lists of strings as terms and citations raises MalformedRow
+    naming the file and the line.
+    """
     if hasattr(path_or_file, "read"):
         handle = path_or_file
     else:
         handle = open(path_or_file, encoding="utf-8")
+    name = getattr(handle, "name", "corpus")
     corpus = Corpus()
     with handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            corpus.ingest_document(
-                record["title"],
-                body_terms=record.get("terms"),
-                citations=record.get("citations", ()),
-            )
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise MalformedRow(f"{name}: line {number}: {exc}") from exc
+            title = record.get("title") if isinstance(record, dict) else None
+            if not isinstance(title, str) or not title:
+                raise MalformedRow(f"{name}: line {number}: record has no title")
+            terms, citations = record.get("terms") or [], record.get("citations") or []
+            if not _strings(terms) or not _strings(citations):
+                raise MalformedRow(
+                    f"{name}: line {number}: terms and citations must be lists of strings")
+            corpus.ingest_document(title, body_terms=terms, citations=citations)
     return corpus

@@ -88,7 +88,7 @@ def _citation_nodes(collection, created):
     return found
 
 
-def offline_evaluate_user(collection, corpus, config, pool_size=50):
+def offline_evaluate_user(collection, corpus, config):
     """Remove the most recently added citation (and everything newer),
     rebuild the model, and check where the removed paper ranks.  A map
     whose root is newer than that citation is left out whole."""
@@ -125,7 +125,7 @@ def offline_evaluate_user(collection, corpus, config, pool_size=50):
     algorithm = config.preset_name or "custom"
     try:
         model = build_model(pruned, corpus, config, now=target_at)
-        pool = retrieve_candidates(corpus, model, pool_size=pool_size)
+        pool = retrieve_candidates(corpus, model)
     except (NoPositiveFeatures, EmptyCollection):
         pool = []
 

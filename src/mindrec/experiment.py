@@ -4,7 +4,7 @@ configuration."""
 
 from dataclasses import asdict, dataclass, fields
 
-from .errors import InvalidConfig, UnknownPreset
+from .errors import InvalidConfig, NoPositiveFeatures, UnknownPreset
 from .mindmap import EVENT_KINDS
 from .usermodel import (
     COMBINERS,
@@ -13,21 +13,43 @@ from .usermodel import (
     FeatureConfig,
     NodeWeightConfig,
     SelectionConfig,
-    model_from_config,
+    build_user_model,
+    extend_selection,
+    extract_features,
+    select_nodes,
+    weigh_nodes,
+    weight_features,
 )
-
-UNBOUNDED = 1_000_000_000
 
 TERM_SCHEMES = ("tf_only", "tf_idf", "tf_iduf")
 CITATION_SCHEMES = ("cc_only", "cc_idf")
 
-PRESET_NAMES = (
-    "mindmeister_last_node",
-    "current_map_all_terms",
-    "all_maps_all_terms",
-    "stereotype",
-    "docear_combined",
-)
+# The baseline algorithms plus the combined algorithm, each as config-file
+# text holding only the keys that differ from the field defaults.
+# 1000000000 stands for "no limit".
+PRESETS = {
+    "mindmeister_last_node": "node_limit = 1\nmodel_size = 1000000000",
+    "current_map_all_terms": "map_limit = 1\nmodel_size = 1000000000",
+    "all_maps_all_terms": "map_limit = 1000000000\nmodel_size = 1000000000",
+    # Dispatch flag only; no model is built for this configuration.
+    "stereotype": "node_limit = 1",
+    "docear_combined": """
+        node_limit = 75
+        day_window = 90
+        event_kind = moved
+        visibility = visible_only
+        extension = children+siblings
+        fallback_any = true
+        node_weighting = true
+        metrics = depth+siblings
+        transform = ln
+        scheme = tf_iduf
+        remove_stopwords = true
+        model_size = 35
+    """,
+}
+
+PRESET_NAMES = tuple(PRESETS)
 
 
 # Allowed values of each choice field; extension and metrics hold a
@@ -78,63 +100,6 @@ class AlgorithmConfig:
                 f"scheme {feat.scheme!r} does not fit feature_type {feat.feature_type!r}")
         if feat.model_size < 1:
             raise InvalidConfig("model_size must be >= 1")
-
-
-def preset(name):
-    """The baseline algorithms plus the combined algorithm, by name."""
-    if name == "mindmeister_last_node":
-        return AlgorithmConfig(
-            selection=SelectionConfig(node_limit=1, event_kind="any", visibility="all"),
-            node_weighting=None,
-            features=FeatureConfig(feature_type="terms", scheme="tf_only",
-                                   remove_stopwords=False, model_size=UNBOUNDED,
-                                   store_weights=False),
-            preset_name=name,
-        )
-    if name == "current_map_all_terms":
-        return AlgorithmConfig(
-            selection=SelectionConfig(map_limit=1, event_kind="any", visibility="all"),
-            node_weighting=None,
-            features=FeatureConfig(feature_type="terms", scheme="tf_only",
-                                   remove_stopwords=False, model_size=UNBOUNDED,
-                                   store_weights=False),
-            preset_name=name,
-        )
-    if name == "all_maps_all_terms":
-        return AlgorithmConfig(
-            selection=SelectionConfig(map_limit=UNBOUNDED, event_kind="any",
-                                      visibility="all"),
-            node_weighting=None,
-            features=FeatureConfig(feature_type="terms", scheme="tf_only",
-                                   remove_stopwords=False, model_size=UNBOUNDED,
-                                   store_weights=False),
-            preset_name=name,
-        )
-    if name == "stereotype":
-        # Dispatch flag only; no model is built for this configuration.
-        return AlgorithmConfig(
-            selection=SelectionConfig(node_limit=1),
-            node_weighting=None,
-            features=FeatureConfig(),
-            preset_name=name,
-        )
-    if name == "docear_combined":
-        return AlgorithmConfig(
-            selection=SelectionConfig(
-                node_limit=75, day_window=90, event_kind="moved",
-                visibility="visible_only",
-                extension=frozenset({"children", "siblings"}),
-                fallback_any=True,
-            ),
-            node_weighting=NodeWeightConfig(metrics=("depth", "siblings"),
-                                            transform="ln", direction="stronger",
-                                            combiner="sum"),
-            features=FeatureConfig(feature_type="terms", scheme="tf_iduf",
-                                   remove_stopwords=True, model_size=35,
-                                   store_weights=False),
-            preset_name=name,
-        )
-    raise UnknownPreset(f"no preset named {name!r}")
 
 
 # One candidate list per drawable field, in a fixed draw order so that a
@@ -193,11 +158,37 @@ def random_config(space, rng):
     return config
 
 
+def preset(name):
+    """A fresh, validated configuration of the named preset."""
+    if name not in PRESETS:
+        raise UnknownPreset(f"no preset named {name!r}")
+    return parse_config(f"preset_name = {name}\n{PRESETS[name]}")
+
+
 def build_model(collection, corpus, config, now):
-    """Run the full pipeline a configuration describes."""
+    """Run every stage the configuration's selection, node_weighting and
+    features sections describe, ending in the model built at `now`."""
     if config.preset_name == "stereotype":
-        raise ValueError("stereotype configurations are handled by dispatch")
-    return model_from_config(collection, corpus, config, now)
+        raise InvalidConfig("the stereotype preset builds no user model; "
+                            "only recommend serves it")
+    features = config.features
+    selection = select_nodes(collection, config.selection, now)
+    selection = extend_selection(collection, selection, config.selection.extension)
+    weighted_nodes = weigh_nodes(collection, selection, config.node_weighting)
+    occurrences = extract_features(
+        collection, weighted_nodes, features.feature_type,
+        features.remove_stopwords, corpus=corpus,
+    )
+    if not occurrences:
+        raise NoPositiveFeatures("selection yielded no features")
+    weighted = weight_features(occurrences, features.scheme,
+                               corpus=corpus, collection=collection)
+    return build_user_model(weighted, features, collection.user_id)
+
+
+def docear_combined_model(collection, corpus, now):
+    """The combined algorithm: the ``docear_combined`` preset's model."""
+    return build_model(collection, corpus, preset("docear_combined"), now)
 
 
 # --- flat key=value serialization ------------------------------------------

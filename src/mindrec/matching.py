@@ -86,7 +86,6 @@ def dispatch(collection, corpus, config, stereotype_catalog, rng,
     use_stereotype = (
         config.preset_name == "stereotype" or rng.random() < p_stereotype
     )
-    algorithm = "stereotype"
     if not use_stereotype:
         try:
             model = build_model(collection, corpus, config, now)
@@ -94,9 +93,8 @@ def dispatch(collection, corpus, config, stereotype_catalog, rng,
             if not pool:
                 raise EmptyPool("no candidates for user model")
             items = select_and_shuffle(pool, k=k, rng=rng)
-            algorithm = config.preset_name or "random"
             return RecommendationSet(set_id=set_id, user_id=user_id, items=items,
-                                     label=label, algorithm=algorithm,
+                                     label=label, algorithm=config.preset_name or "random",
                                      created_at=now, trigger=trigger)
         except (NoPositiveFeatures, EmptyPool):
             pass  # fall back to the stereotype catalog

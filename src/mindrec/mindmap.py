@@ -257,24 +257,18 @@ class MindMapCollection:
         return not self.revisions
 
 
-def read_event_log(path_or_file):
+def read_event_log(path):
     """Read a sidecar event CSV (`map_id,node_id,kind,at`)."""
-    if hasattr(path_or_file, "read"):
-        handle = path_or_file
-    else:
-        handle = open(path_or_file, newline="", encoding="utf-8")
-    with handle:
-        reader = csv.DictReader(handle)
-        events = []
-        for i, row in enumerate(reader, start=2):
+    events = []
+    with open(path, newline="", encoding="utf-8") as handle:
+        for i, row in enumerate(csv.DictReader(handle), start=2):
             try:
                 kind = row["kind"]
                 if kind not in EVENT_KINDS:
                     raise ValueError(f"bad kind {kind!r}")
                 events.append(NodeEvent(row["map_id"], row["node_id"], kind, int(row["at"])))
             except (KeyError, TypeError, ValueError) as exc:
-                name = getattr(handle, "name", "event log")
-                raise MalformedRow(f"{name}: row {i}: {exc}") from exc
+                raise MalformedRow(f"{path}: row {i}: {exc}") from exc
     return events
 
 

@@ -1,8 +1,9 @@
-"""User-model construction pipeline.
+"""User-model construction pipeline stages.
 
 select nodes -> extend -> weight nodes -> extract features -> weight
-features -> truncate.  The combined algorithm is one configuration of it
-(the ``docear_combined`` preset).
+features -> truncate; ``experiment.build_model`` runs them in that order.
+The combined algorithm is one configuration of it (the
+``docear_combined`` preset).
 """
 
 import math
@@ -63,8 +64,6 @@ class FeatureConfig:
 class UserModel:
     user_id: str
     features: list                   # [(feature, weight-or-None)] weight-desc order
-    config: object = None
-    built_at: int = 0
 
     def feature_list(self):
         return [f for f, _ in self.features]
@@ -273,7 +272,7 @@ def weight_features(occurrences, scheme, corpus=None, collection=None):
     raise ValueError(f"unknown weighting scheme {scheme!r}")
 
 
-def build_user_model(weighted_features, cfg, user_id, built_at=0):
+def build_user_model(weighted_features, cfg, user_id):
     """Keep the top model_size positive-weight features, weight-descending.
 
     Order survives even when weights are discarded (store_weights=False).
@@ -287,28 +286,4 @@ def build_user_model(weighted_features, cfg, user_id, built_at=0):
         features = kept
     else:
         features = [(f, None) for f, _ in kept]
-    return UserModel(user_id=user_id, features=features, config=cfg, built_at=built_at)
-
-
-def model_from_config(collection, corpus, config, now):
-    """Run every stage the configuration's selection, node_weighting and
-    features sections describe, ending in the model built at `now`."""
-    features = config.features
-    selection = select_nodes(collection, config.selection, now)
-    selection = extend_selection(collection, selection, config.selection.extension)
-    weighted_nodes = weigh_nodes(collection, selection, config.node_weighting)
-    occurrences = extract_features(
-        collection, weighted_nodes, features.feature_type,
-        features.remove_stopwords, corpus=corpus,
-    )
-    if not occurrences:
-        raise NoPositiveFeatures("selection yielded no features")
-    weighted = weight_features(occurrences, features.scheme,
-                               corpus=corpus, collection=collection)
-    return build_user_model(weighted, features, collection.user_id, built_at=now)
-
-
-def docear_combined_model(collection, corpus, now):
-    """The combined algorithm: the ``docear_combined`` preset's model."""
-    from .experiment import preset  # experiment imports this module
-    return model_from_config(collection, corpus, preset("docear_combined"), now)
+    return UserModel(user_id=user_id, features=features)

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from mindrec import cli
+from mindrec import cli, docear_combined_model
 from mindrec.corpus import Corpus
 from mindrec.evaluation import (
     RecEvent,
@@ -23,7 +23,6 @@ from mindrec.matching import dispatch, select_and_shuffle
 from mindrec.usermodel import (
     FeatureConfig,
     build_user_model,
-    docear_combined_model,
     node_weight,
     weight_features,
 )

@@ -167,6 +167,78 @@ class TestOfflineEvalCommand:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("pair", [
+        ("--preset", "all_maps_all_terms", "--config", "typo.cfg"),
+        ("--preset", "docear_combined", "--space", "s.txt"),
+        ("--config", "typo.cfg", "--space", "s.txt"),
+    ], ids=["preset_config", "preset_space", "config_space"])
+    def test_config_sources_exclusive(self, tmp_path, capsys, pair):
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        (tmp_path / "typo.cfg").write_text("node_limt = 5\n")
+        (tmp_path / "s.txt").write_text("node_limit = 10\n")
+        pair = [tmp_path / a if a.endswith((".cfg", ".txt")) else a for a in pair]
+        with pytest.raises(SystemExit) as exc:
+            run(["offline-eval", "--corpus", corpus_path, "--mindmaps", maps_dir,
+                 "--seed", 3, "--now", now, *pair, "--out", tmp_path / "o.csv"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("config", [
+        ["--preset", "stereotype"],
+        ["--config", "stereotype.cfg"],
+    ], ids=["preset", "config_file"])
+    def test_stereotype_builds_no_model(self, tmp_path, capsys, config):
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        (tmp_path / "stereotype.cfg").write_text("preset_name = stereotype\n"
+                                                 "node_limit = 1\n")
+        config = [tmp_path / a if a.endswith(".cfg") else a for a in config]
+        assert run(["offline-eval", "--corpus", corpus_path, "--mindmaps", maps_dir,
+                    "--seed", 3, "--now", now, *config,
+                    "--out", tmp_path / "o.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "stereotype" in err
+
+
+class TestMissingInput:
+    @pytest.mark.parametrize("command, flag", [
+        ("offline-eval", "--mindmaps"),
+        ("offline-eval", "--corpus"),
+        ("offline-eval", "--space"),
+        ("recommend", "--stereotype"),
+        ("ingest-corpus", "--corpus"),
+        ("ingest-mindmaps", "--mindmaps"),
+        ("metrics", "--events"),
+        ("reiterate", "--events"),
+        ("export", "--sets"),
+    ])
+    def test_missing_path_named(self, tmp_path, capsys, command, flag):
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        events = tmp_path / "e.csv"
+        events.write_text("set_id,doc_id,user_id,kind,at\ns1,d1,user00,shown,1\n")
+        sets = tmp_path / "sets.jsonl"
+        sets.write_text("")
+        argv = {
+            "offline-eval": ["--corpus", corpus_path, "--mindmaps", maps_dir,
+                             "--seed", 3, "--now", now],
+            "recommend": ["--corpus", corpus_path, "--mindmaps", maps_dir,
+                          "--seed", 3, "--now", now, "--user", "user00"],
+            "ingest-corpus": ["--corpus", corpus_path],
+            "ingest-mindmaps": ["--mindmaps", maps_dir],
+            "metrics": ["--events", events],
+            "reiterate": ["--events", events],
+            "export": ["--sets", sets, "--out", tmp_path / "export"],
+        }[command]
+        missing = tmp_path / "missing" / "input"
+        if flag in argv:
+            argv[argv.index(flag) + 1] = missing
+        else:
+            argv += [flag, missing]
+        assert run([command, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
+
 class TestExportCommand:
     def test_export_counts(self, tmp_path):
         corpus_path, maps_dir, now = write_cli_fixture(tmp_path)

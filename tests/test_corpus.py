@@ -1,11 +1,12 @@
 import io
 import math
 import random
+import re
 
 import pytest
 
 from mindrec.corpus import Corpus, citation_feature, cleantitle, load_corpus_jsonl
-from mindrec.errors import EmptyQuery, EmptyTitle
+from mindrec.errors import EmptyQuery, EmptyTitle, MalformedRow
 
 from conftest import WORDS
 
@@ -85,6 +86,21 @@ class TestResolveIngest:
         first = corpus.cleantitle_index[cleantitle("First Doc")]
         second = corpus.cleantitle_index[cleantitle("Second Doc")]
         assert corpus.documents[first].cited_ids == [second]
+
+    @pytest.mark.parametrize("line", [
+        "{not json",
+        '{"terms": ["alpha"]}',
+        '{"title": ""}',
+        '["First Doc"]',
+        '{"title": "Third Doc", "citations": "First Doc"}',
+        '{"title": "Third Doc", "terms": ["alpha", 7]}',
+    ], ids=["not_json", "no_title", "empty_title", "not_a_record",
+            "citations_not_a_list", "term_not_a_string"])
+    def test_malformed_jsonl_line_named(self, tmp_path, line):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"title": "First Doc"}\n\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRow, match=f"^{re.escape(str(path))}: line 3: "):
+            load_corpus_jsonl(path)
 
     def test_posting_sums_match_bags(self):
         corpus = Corpus()

@@ -12,6 +12,7 @@ from mindrec.errors import (
 from mindrec.mindmap import (
     MindMap,
     MindMapCollection,
+    MindNode,
     NodeEvent,
     derive_events,
     is_visible,
@@ -86,6 +87,30 @@ class TestParse:
             a, b = m1.node(nid), m2.node(nid)
             assert (a.id, a.text, a.folded, a.link) == (b.id, b.text, b.folded, b.link)
         assert m1.node_ids() == m2.node_ids()
+
+    def test_random_tree_roundtrip(self):
+        alphabet = "ab Zé漢&<>\"'\t\n\r"
+        rng = random.Random(11)
+
+        def text():
+            return "".join(rng.choice(alphabet) for _ in range(rng.randrange(8)))
+
+        for trial in range(200):
+            nodes = []
+            for i in range(rng.randrange(1, 40)):
+                nodes.append(MindNode(
+                    id=f"n{i}{text()}", text=text(),
+                    link=rng.choice([None, text() + "x"]),
+                    folded=rng.random() < 0.3,
+                    created_at=rng.choice([0, rng.randrange(2 * 10 ** 12)]),
+                    modified_at=rng.choice([0, rng.randrange(2 * 10 ** 12)]),
+                ))
+                if i:
+                    rng.choice(nodes[:i]).children.append(nodes[i])
+            m = MindMap(f"map{trial}", nodes[0])
+            again = parse_mindmap(serialize_mindmap(m), map_id=m.map_id)
+            assert again.root == m.root
+            assert again.node_ids() == m.node_ids()
 
     def test_tree_property(self):
         rng = random.Random(3)

@@ -9,7 +9,7 @@ from mindrec.errors import (
     EmptyScores,
     NoPositiveFeatures,
 )
-from mindrec.experiment import build_model, preset
+from mindrec.experiment import build_model, docear_combined_model, preset
 from mindrec.mindmap import MindMap, MindMapCollection, NodeEvent, is_visible
 from mindrec.usermodel import (
     DAY_MS,
@@ -17,7 +17,6 @@ from mindrec.usermodel import (
     SelectionConfig,
     build_user_model,
     combine_node_weights,
-    docear_combined_model,
     extend_selection,
     extract_features,
     node_weight,
