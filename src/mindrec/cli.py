@@ -7,24 +7,20 @@ runs are reproducible byte for byte.
 
 import argparse
 import csv
-import io
+import dataclasses
 import json
 import random
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import evaluation, experiment, matching
 from .corpus import load_corpus_jsonl
-from .errors import (
-    InvalidConfig,
-    InvariantViolation,
-    MalformedInput,
-    MalformedRow,
-    MindrecError,
-    NoCitations,
-)
+from .errors import InvalidConfig, InvariantViolation, MalformedInput, MindrecError, NoCitations
 from .evaluation import RecEvent, SetRating
+from .matching import RecommendationItem, RecommendationSet
 from .mindmap import MindMapCollection, parse_mindmap, read_event_log
+from .rows import read_csv, read_jsonl, read_text
 
 
 def load_user_collections(mindmaps_dir):
@@ -69,53 +65,44 @@ def replay_event_log(path):
     doc_id) at an earlier-or-equal timestamp.  Returns events sorted by
     timestamp (shown first on ties).
     """
-    rows = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        for i, row in enumerate(reader, start=2):
-            try:
-                kind = row["kind"]
-                if kind not in evaluation.REC_EVENT_KINDS:
-                    raise ValueError(f"unknown kind {kind!r}")
-                event = RecEvent(row["set_id"], row["doc_id"], row["user_id"],
-                                 kind, int(row["at"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedRow(f"{path}: row {i}: {exc}") from exc
-            rows.append((i, event))
-
-    rows.sort(key=lambda pair: (pair[1].at, pair[1].kind != "shown"))
+    events = read_csv(path, _rec_event)
+    ordered = sorted(events, key=lambda event: (event.at, event.kind != "shown"))
     shown = set()
-    for i, event in rows:
+    for event in ordered:
         key = (event.set_id, event.doc_id)
         if event.kind == "shown":
             shown.add(key)
         elif key not in shown:
-            raise InvariantViolation(
-                f"{path}: row {i}: {event.kind!r} without prior shown for {key}"
-            )
-    return [event for _, event in rows]
+            raise InvariantViolation(f"{path}: row {events.index(event) + 2}: "
+                                     f"{event.kind!r} without prior shown for {key}")
+    return ordered
 
 
-def load_ratings(path):
-    ratings = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        for i, row in enumerate(reader, start=2):
-            try:
-                rating = int(row["rating"])
-                if not 1 <= rating <= 5:
-                    raise ValueError(f"rating {rating} outside 1..5")
-                ratings.append(SetRating(row["set_id"], row["user_id"], rating,
-                                         int(row["at"])))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedRow(f"{path}: row {i}: {exc}") from exc
-    return ratings
+def _rec_event(row):
+    kind = row["kind"]
+    if kind not in evaluation.REC_EVENT_KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    return RecEvent(row["set_id"], row["doc_id"], row["user_id"], kind, int(row["at"]))
+
+
+def _set_rating(row):
+    rating = int(row["rating"])
+    if not 1 <= rating <= 5:
+        raise ValueError(f"rating {rating} outside 1..5")
+    return SetRating(row["set_id"], row["user_id"], rating, int(row["at"]))
+
+
+def _recommendation_set(record):
+    """The RecommendationSet of one `--sets-out` record."""
+    fields = {f.name: record[f.name] for f in dataclasses.fields(RecommendationSet)}
+    fields["items"] = [RecommendationItem(**item) for item in fields["items"]]
+    return RecommendationSet(**fields)
 
 
 def _parse_file(parse, path):
     """Apply a config or space parser to a file, naming it in errors."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        return parse(read_text(path))
     except InvalidConfig as exc:
         raise InvalidConfig(f"{path}: {exc}") from exc
 
@@ -145,16 +132,17 @@ def _preresolve_citations(corpus, collections):
 
 def _stereotype_catalog(corpus, path):
     if path:
-        titles = [t for t in Path(path).read_text(encoding="utf-8").splitlines() if t]
-        return [corpus.resolve_citation(t) for t in titles]
+        return [corpus.resolve_citation(t) for t in read_text(path).splitlines() if t]
     return sorted(corpus.documents)[:50]
 
 
-def _write(out, text):
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _write_csv(out, header, rows):
+    """Write a CSV table to the file `out`, or to stdout when it is unset."""
+    target = open(out, "w", newline="", encoding="utf-8") if out else nullcontext(sys.stdout)
+    with target as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # --- subcommands -----------------------------------------------------------
@@ -162,11 +150,9 @@ def _write(out, text):
 def cmd_ingest_corpus(args):
     corpus = load_corpus_jsonl(args.corpus)
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["doc_id", "cleantitle"])
-            for doc_id in sorted(corpus.documents):
-                writer.writerow([doc_id, corpus.documents[doc_id].cleantitle])
+        _write_csv(args.out, ["doc_id", "cleantitle"],
+                   ([doc_id, corpus.documents[doc_id].cleantitle]
+                    for doc_id in sorted(corpus.documents)))
     print(f"ingested {len(corpus)} documents, "
           f"{len(corpus.term_index)} terms, {len(corpus.citation_index)} cited docs")
     return 0
@@ -196,24 +182,14 @@ def cmd_recommend(args):
         p_stereotype=args.p_stereotype, now=args.now,
         set_id=f"set_{args.user}_{args.seed}", label=args.label,
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["set_id", "user_id", "algorithm", "doc_id",
-                     "original_rank", "display_rank"])
-    for item in sorted(rec_set.items, key=lambda it: it.display_rank):
-        writer.writerow([rec_set.set_id, rec_set.user_id, rec_set.algorithm,
-                         item.doc_id, item.original_rank, item.display_rank])
-    _write(args.out, buf.getvalue())
+    _write_csv(args.out, ["set_id", "user_id", "algorithm", "doc_id",
+                          "original_rank", "display_rank"],
+               [[rec_set.set_id, rec_set.user_id, rec_set.algorithm,
+                 item.doc_id, item.original_rank, item.display_rank]
+                for item in sorted(rec_set.items, key=lambda it: it.display_rank)])
     if args.sets_out:
-        record = {
-            "set_id": rec_set.set_id, "user_id": rec_set.user_id,
-            "created_at": rec_set.created_at, "trigger": rec_set.trigger,
-            "label": rec_set.label, "algorithm": rec_set.algorithm,
-            "items": [{"doc_id": it.doc_id, "original_rank": it.original_rank,
-                       "display_rank": it.display_rank} for it in rec_set.items],
-        }
         with open(args.sets_out, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record) + "\n")
+            handle.write(json.dumps(dataclasses.asdict(rec_set)) + "\n")
     return 0
 
 
@@ -226,10 +202,7 @@ def cmd_offline_eval(args):
         space = _parse_file(experiment.parse_space, args.space)
     config = None if space else _load_config(args)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["user_id", "algorithm", "target_rank",
-                     "p_at_3", "p_at_10", "mrr", "ndcg"])
+    rows = []
     for user_id in sorted(collections):
         if space:
             rng = random.Random(matching.derive_seed(args.seed, user_id))
@@ -238,8 +211,9 @@ def cmd_offline_eval(args):
             result = evaluation.offline_evaluate_user(collections[user_id], corpus, config)
         except NoCitations:
             continue
-        writer.writerow(offline_result_row(result))
-    _write(args.out, buf.getvalue())
+        rows.append(offline_result_row(result))
+    _write_csv(args.out, ["user_id", "algorithm", "target_rank",
+                          "p_at_3", "p_at_10", "mrr", "ndcg"], rows)
     return 0
 
 
@@ -252,23 +226,15 @@ def offline_result_row(result):
 
 def cmd_metrics(args):
     events = replay_event_log(args.events)
-    ratings = load_ratings(args.ratings) if args.ratings else []
+    ratings = read_csv(args.ratings, _set_rating) if args.ratings else []
     set_attrs = None
     if args.sets:
-        set_attrs = {}
-        with open(args.sets, encoding="utf-8") as handle:
-            for line in handle:
-                if line.strip():
-                    record = json.loads(line)
-                    set_attrs[record["set_id"]] = record
+        set_attrs = {rec_set.set_id: vars(rec_set)
+                     for rec_set in read_jsonl(args.sets, _recommendation_set)}
     report = evaluation.online_metrics(events, ratings, group_by=args.group_by,
                                        set_attrs=set_attrs)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["group", "metric", "value", "n"])
-    for group, metric, value, n in report:
-        writer.writerow([group, metric, f"{value:.6f}", n])
-    _write(args.out, buf.getvalue())
+    _write_csv(args.out, ["group", "metric", "value", "n"],
+               [[group, metric, f"{value:.6f}", n] for group, metric, value, n in report])
     if args.out:
         for group, metric, value, n in report:
             print(f"{group:<12} {metric:<12} {value:>10.4f}  (n={n})")
@@ -276,58 +242,35 @@ def cmd_metrics(args):
 
 
 def cmd_reiterate(args):
-    events = replay_event_log(args.events)
-    report = evaluation.reiteration_report(events)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["iteration", "shown", "clicks", "ctr",
-                     "oblivious", "first_clicks", "ctr_first"])
-    for row in report:
-        writer.writerow([row["iteration"], row["shown"], row["clicks"],
-                         f"{row['ctr']:.6f}", row["oblivious"],
-                         row["first_clicks"], f"{row['ctr_first']:.6f}"])
-    _write(args.out, buf.getvalue())
+    report = evaluation.reiteration_report(replay_event_log(args.events))
+    _write_csv(args.out, ["iteration", "shown", "clicks", "ctr",
+                          "oblivious", "first_clicks", "ctr_first"],
+               [[row["iteration"], row["shown"], row["clicks"], f"{row['ctr']:.6f}",
+                 row["oblivious"], row["first_clicks"], f"{row['ctr_first']:.6f}"]
+                for row in report])
     return 0
 
 
 def cmd_export(args):
-    sets = []
-    with open(args.sets, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                sets.append(json.loads(line))
+    sets = read_jsonl(args.sets, _recommendation_set)
     clicked = set()
     if args.events:
-        for event in replay_event_log(args.events):
-            if event.kind == "clicked":
-                clicked.add((event.set_id, event.doc_id))
+        clicked = {(event.set_id, event.doc_id) for event in replay_event_log(args.events)
+                   if event.kind == "clicked"}
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "recommendation_sets.csv", "w", newline="",
-              encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["set_id", "user_id", "created_at", "trigger", "label",
-                         "algorithm", "items", "clicks"])
-        for record in sets:
-            clicks = sum(1 for item in record["items"]
-                         if (record["set_id"], item["doc_id"]) in clicked)
-            writer.writerow([record["set_id"], record["user_id"],
-                             record["created_at"], record["trigger"],
-                             record["label"], record["algorithm"],
-                             len(record["items"]), clicks])
-    with open(out_dir / "recommendations.csv", "w", newline="",
-              encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["set_id", "doc_id", "original_rank", "display_rank",
-                         "clicked"])
-        for record in sets:
-            for item in record["items"]:
-                writer.writerow([
-                    record["set_id"], item["doc_id"], item["original_rank"],
-                    item["display_rank"],
-                    1 if (record["set_id"], item["doc_id"]) in clicked else 0,
-                ])
+    _write_csv(out_dir / "recommendation_sets.csv",
+               ["set_id", "user_id", "created_at", "trigger", "label",
+                "algorithm", "items", "clicks"],
+               ([s.set_id, s.user_id, s.created_at, s.trigger, s.label, s.algorithm,
+                 len(s.items), sum((s.set_id, it.doc_id) in clicked for it in s.items)]
+                for s in sets))
+    _write_csv(out_dir / "recommendations.csv",
+               ["set_id", "doc_id", "original_rank", "display_rank", "clicked"],
+               ([s.set_id, it.doc_id, it.original_rank, it.display_rank,
+                 int((s.set_id, it.doc_id) in clicked)]
+                for s in sets for it in s.items))
     print(f"exported {len(sets)} sets to {out_dir}")
     return 0
 

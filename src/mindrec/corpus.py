@@ -5,12 +5,12 @@ Citation features are addressed with a ``citation:`` prefix so that term
 and citation features can share one query (mixed user models).
 """
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import EmptyQuery, EmptyTitle, MalformedRow
+from .errors import EmptyQuery, EmptyTitle
+from .rows import read_jsonl
 from .text import tokenize
 
 CITATION_PREFIX = "citation:"
@@ -46,7 +46,9 @@ class Document:
 
 
 class Corpus:
-    """Mutable while being built; treat as frozen once queries start."""
+    """Documents and their indexes.  Not frozen on the query path:
+    `resolve_citation` mints a document for every unseen title, and that
+    document counts toward N in idf = ln(N/df)."""
 
     def __init__(self):
         self.documents = {}
@@ -150,34 +152,23 @@ def _strings(value):
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def load_corpus_jsonl(path_or_file):
+def load_corpus_jsonl(path):
     """Build a corpus from JSON-lines: {"title", "terms"?, "citations"?}.
 
     A line that is not a JSON record with a non-empty title and, where
     given, lists of strings as terms and citations raises MalformedRow
     naming the file and the line.
     """
-    if hasattr(path_or_file, "read"):
-        handle = path_or_file
-    else:
-        handle = open(path_or_file, encoding="utf-8")
-    name = getattr(handle, "name", "corpus")
     corpus = Corpus()
-    with handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise MalformedRow(f"{name}: line {number}: {exc}") from exc
-            title = record.get("title") if isinstance(record, dict) else None
-            if not isinstance(title, str) or not title:
-                raise MalformedRow(f"{name}: line {number}: record has no title")
-            terms, citations = record.get("terms") or [], record.get("citations") or []
-            if not _strings(terms) or not _strings(citations):
-                raise MalformedRow(
-                    f"{name}: line {number}: terms and citations must be lists of strings")
-            corpus.ingest_document(title, body_terms=terms, citations=citations)
+
+    def ingest(record):
+        title = record.get("title") if isinstance(record, dict) else None
+        if not isinstance(title, str) or not title:
+            raise ValueError("record has no title")
+        terms, citations = record.get("terms") or [], record.get("citations") or []
+        if not _strings(terms) or not _strings(citations):
+            raise ValueError("terms and citations must be lists of strings")
+        corpus.ingest_document(title, body_terms=terms, citations=citations)
+
+    read_jsonl(path, ingest)
     return corpus

@@ -28,13 +28,14 @@ class RecommendationItem:
 
 @dataclass
 class RecommendationSet:
+    """One delivered set; `asdict` of it is a `--sets-out` record."""
     set_id: str
     user_id: str
-    items: list
-    label: str = ""
-    algorithm: str = ""
-    created_at: int = 0
-    trigger: str = "requested"
+    created_at: int
+    trigger: str
+    label: str
+    algorithm: str
+    items: list          # RecommendationItem, in pool-sampling order
 
 
 def retrieve_candidates(corpus, model, pool_size=DEFAULT_POOL_SIZE):
@@ -66,7 +67,7 @@ def select_and_shuffle(pool, k=DEFAULT_SET_SIZE, rng=None):
 
 
 def derive_seed(global_seed, user_id):
-    """Stable per-user seed so parallel runs stay reproducible."""
+    """Stable per-user seed: a user's draws do not depend on the other users."""
     digest = hashlib.sha256(f"{global_seed}:{user_id}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -82,10 +83,10 @@ def dispatch(collection, corpus, config, stereotype_catalog, rng,
     content-based route yields no model or no candidates.  The generator
     is consumed in the fixed order: arm choice, sampling, shuffle.
     """
-    user_id = collection.user_id
     use_stereotype = (
         config.preset_name == "stereotype" or rng.random() < p_stereotype
     )
+    items = None
     if not use_stereotype:
         try:
             model = build_model(collection, corpus, config, now)
@@ -93,13 +94,12 @@ def dispatch(collection, corpus, config, stereotype_catalog, rng,
             if not pool:
                 raise EmptyPool("no candidates for user model")
             items = select_and_shuffle(pool, k=k, rng=rng)
-            return RecommendationSet(set_id=set_id, user_id=user_id, items=items,
-                                     label=label, algorithm=config.preset_name or "random",
-                                     created_at=now, trigger=trigger)
+            algorithm = config.preset_name or "random"
         except (NoPositiveFeatures, EmptyPool):
             pass  # fall back to the stereotype catalog
-    catalog_pool = [(doc_id, 0.0) for doc_id in stereotype_catalog]
-    items = select_and_shuffle(catalog_pool, k=k, rng=rng)
-    return RecommendationSet(set_id=set_id, user_id=user_id, items=items,
-                             label=label, algorithm="stereotype",
-                             created_at=now, trigger=trigger)
+    if items is None:
+        catalog_pool = [(doc_id, 0.0) for doc_id in stereotype_catalog]
+        items = select_and_shuffle(catalog_pool, k=k, rng=rng)
+        algorithm = "stereotype"
+    return RecommendationSet(set_id, collection.user_id, now, trigger, label,
+                             algorithm, items)

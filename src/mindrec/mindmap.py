@@ -5,12 +5,12 @@ holding nested ``node`` elements with ID/TEXT/FOLDED/LINK/CREATED/MODIFIED
 attributes.  Unknown attributes and elements are ignored.
 """
 
-import csv
 import hashlib
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
 
-from .errors import InconsistentRevisions, MalformedInput, MalformedRow, NoRoot, UnknownNode
+from .errors import InconsistentRevisions, MalformedInput, NoRoot, UnknownNode
+from .rows import read_csv
 from .text import tokenize
 
 EVENT_KINDS = ("created", "edited", "moved")
@@ -259,17 +259,14 @@ class MindMapCollection:
 
 def read_event_log(path):
     """Read a sidecar event CSV (`map_id,node_id,kind,at`)."""
-    events = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for i, row in enumerate(csv.DictReader(handle), start=2):
-            try:
-                kind = row["kind"]
-                if kind not in EVENT_KINDS:
-                    raise ValueError(f"bad kind {kind!r}")
-                events.append(NodeEvent(row["map_id"], row["node_id"], kind, int(row["at"])))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedRow(f"{path}: row {i}: {exc}") from exc
-    return events
+    return read_csv(path, _node_event)
+
+
+def _node_event(row):
+    kind = row["kind"]
+    if kind not in EVENT_KINDS:
+        raise ValueError(f"bad kind {kind!r}")
+    return NodeEvent(row["map_id"], row["node_id"], kind, int(row["at"]))
 
 
 def copy_mindmap(mindmap, drop_node_ids=(), strip_link_ids=()):

@@ -1,4 +1,5 @@
 import csv
+import json
 import random
 import re
 
@@ -14,6 +15,19 @@ from conftest import DAY_MS, node, write_cli_fixture
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+GOOD_SET = json.dumps({
+    "set_id": "s1", "user_id": "user00", "created_at": 1, "trigger": "requested",
+    "label": "", "algorithm": "all_maps_all_terms",
+    "items": [{"doc_id": "d1", "original_rank": 1, "display_rank": 1}],
+})
+
+
+def _set_without(field):
+    record = json.loads(GOOD_SET)
+    del record[field]
+    return f"{GOOD_SET}\n{json.dumps(record)}\n".encode()
 
 
 class TestMetricsCommand:
@@ -56,6 +70,18 @@ class TestMetricsCommand:
                 for r in csv.DictReader(out.read_text().splitlines())}
         assert (rows["mean_rating"]["value"], rows["mean_rating"]["n"]) == \
             ("3.000000", "2")
+
+    def test_group_by_set_field(self, tmp_path):
+        events = tmp_path / "e.csv"
+        events.write_text("set_id,doc_id,user_id,kind,at\n"
+                          "s1,d1,user00,shown,1\ns2,d1,user00,shown,2\n")
+        sets = tmp_path / "sets.jsonl"
+        sets.write_text(GOOD_SET + "\n")
+        out = tmp_path / "report.csv"
+        assert run(["metrics", "--events", events, "--sets", sets,
+                    "--group-by", "algorithm", "--out", out]) == 0
+        groups = {r["group"] for r in csv.DictReader(out.read_text().splitlines())}
+        assert groups == {"all_maps_all_terms", "unknown"}
 
 
 class TestReplayEventLog:
@@ -237,6 +263,66 @@ class TestMissingInput:
         assert run([command, *argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(missing) in err
+
+
+class TestMalformedInput:
+    """A malformed row or a byte that is not UTF-8 is an `error:` line
+    naming the file (and the row or line), never a traceback."""
+
+    @pytest.mark.parametrize("command, flag, data, where", [
+        ("metrics", "--sets", b'{"set_id": "s1"', "line 1"),
+        ("export", "--sets", b'{"set_id": "s1"', "line 1"),
+        ("metrics", "--sets", _set_without("set_id"), "line 2"),
+        ("export", "--sets", _set_without("items"), "line 2"),
+        ("metrics", "--sets", b"[1, 2]\n", "line 1"),
+        ("export", "--sets", b"\n[1, 2]\n", "line 2"),
+        ("export", "--sets", b'{"set_id": "s\xff"}\n', "not UTF-8"),
+        ("reiterate", "--events", b"set_id,doc_id,user_id,kind,at\ns1,d\xff,u,shown,1\n",
+         "not UTF-8"),
+        ("metrics", "--ratings", b"set_id,user_id,rating,at\ns\xff,u,4,2\n", "not UTF-8"),
+        ("ingest-mindmaps", "events.csv", b"map_id,node_id,kind,at\nm,\xff,created,1\n",
+         "not UTF-8"),
+        ("ingest-corpus", "--corpus", b'{"title": "Caf\xe9"}\n', "not UTF-8"),
+        ("offline-eval", "--config", b"node_limit = 5\n# \xff\n", "not UTF-8"),
+        ("offline-eval", "--space", b"node_limit = 5, \xff\n", "not UTF-8"),
+        ("recommend", "--stereotype", b"Some title \xff\n", "not UTF-8"),
+    ], ids=["metrics_sets_not_json", "export_sets_not_json", "sets_no_set_id",
+            "sets_no_items", "metrics_sets_not_a_record", "export_sets_not_a_record",
+            "sets_not_utf8", "events_not_utf8", "ratings_not_utf8", "sidecar_not_utf8",
+            "corpus_not_utf8", "config_not_utf8", "space_not_utf8",
+            "stereotype_not_utf8"])
+    def test_bad_input_named(self, tmp_path, capsys, command, flag, data, where):
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        events = tmp_path / "e.csv"
+        events.write_text("set_id,doc_id,user_id,kind,at\ns1,d1,user00,shown,1\n")
+        sets = tmp_path / "sets.jsonl"
+        sets.write_text(GOOD_SET + "\n")
+        out = tmp_path / "out.csv"
+        argv = {
+            "offline-eval": ["--corpus", corpus_path, "--mindmaps", maps_dir,
+                             "--seed", 3, "--now", now, "--out", out],
+            "recommend": ["--corpus", corpus_path, "--mindmaps", maps_dir,
+                          "--seed", 3, "--now", now, "--user", "user00", "--out", out],
+            "ingest-corpus": ["--corpus", corpus_path, "--out", out],
+            "ingest-mindmaps": ["--mindmaps", maps_dir],
+            "metrics": ["--events", events, "--group-by", "algorithm", "--out", out],
+            "reiterate": ["--events", events, "--out", out],
+            "export": ["--sets", sets, "--events", events, "--out", tmp_path / "export"],
+        }[command]
+        if flag == "events.csv":
+            bad = maps_dir / "user01" / flag
+        else:
+            bad = tmp_path / "bad" / "input"
+            bad.parent.mkdir()
+            if flag in argv:
+                argv[argv.index(flag) + 1] = bad
+            else:
+                argv += [flag, bad]
+        bad.write_bytes(data)
+        assert run([command, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and where in err
+        assert not out.exists() and not (tmp_path / "export").exists()
 
 
 class TestExportCommand:

@@ -1,4 +1,3 @@
-import io
 import math
 import random
 import re
@@ -76,12 +75,14 @@ class TestResolveIngest:
         with pytest.raises(EmptyTitle):
             Corpus().ingest_document("")
 
-    def test_jsonl_loader(self):
-        raw = io.StringIO(
+    def test_jsonl_loader(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
             '{"title": "First Doc", "terms": ["alpha"], "citations": ["Second Doc"]}\n'
-            '{"title": "Second Doc"}\n'
+            '{"title": "Second Doc"}\n',
+            encoding="utf-8",
         )
-        corpus = load_corpus_jsonl(raw)
+        corpus = load_corpus_jsonl(path)
         assert len(corpus) == 2
         first = corpus.cleantitle_index[cleantitle("First Doc")]
         second = corpus.cleantitle_index[cleantitle("Second Doc")]
