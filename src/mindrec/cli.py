@@ -16,11 +16,15 @@ from pathlib import Path
 
 from . import evaluation, experiment, matching
 from .corpus import load_corpus_jsonl
-from .errors import InvalidConfig, InvariantViolation, MalformedInput, MindrecError, NoCitations
+from .errors import (InvalidConfig, InvariantViolation, MalformedInput, MindrecError,
+                     NoCitations, UnknownTitle)
 from .evaluation import RecEvent, SetRating
 from .matching import RecommendationItem, RecommendationSet
 from .mindmap import MindMapCollection, parse_mindmap, read_event_log
-from .rows import read_csv, read_jsonl, read_text
+from .rows import csv_row_of, read_csv, read_jsonl, read_text
+
+# metrics --group-by: the user of an event, or a scalar field of its set
+GROUP_BY = tuple(f.name for f in dataclasses.fields(RecommendationSet) if f.type is not list)
 
 
 def load_user_collections(mindmaps_dir):
@@ -73,7 +77,8 @@ def replay_event_log(path):
         if event.kind == "shown":
             shown.add(key)
         elif key not in shown:
-            raise InvariantViolation(f"{path}: row {events.index(event) + 2}: "
+            index = next(i for i, other in enumerate(events) if other is event)
+            raise InvariantViolation(f"{path}: row {csv_row_of(path, index)}: "
                                      f"{event.kind!r} without prior shown for {key}")
     return ordered
 
@@ -114,26 +119,19 @@ def _load_config(args):
     return experiment.preset(args.preset or "docear_combined")
 
 
-def _preresolve_citations(corpus, collections):
-    """Resolve every node link up front, users in sorted order.
-
-    Each citation of an unknown title mints a ghost document, and the
-    document count N enters every idf = ln(N/df).  Minting them all before
-    any model is built fixes the order of their ids and makes N the same
-    for every user, whatever order the users are evaluated in.
-    """
-    for user_id in sorted(collections):
-        for mindmap in collections[user_id].latest_maps():
-            for node_id in mindmap.node_ids():
-                node = mindmap.node(node_id)
-                if node.link:
-                    corpus.resolve_citation(node.link)
-
-
 def _stereotype_catalog(corpus, path):
-    if path:
-        return [corpus.resolve_citation(t) for t in read_text(path).splitlines() if t]
-    return sorted(corpus.documents)[:50]
+    """The documents the --stereotype file names, one title per line, or
+    else the first 50 document ids."""
+    if not path:
+        return sorted(corpus.documents)[:50]
+    catalog = []
+    for number, title in enumerate(read_text(path).splitlines(), start=1):
+        if title:
+            try:
+                catalog.append(corpus.lookup(title))
+            except UnknownTitle as exc:
+                raise UnknownTitle(f"{path}: line {number}: {exc}") from exc
+    return catalog
 
 
 def _write_csv(out, header, rows):
@@ -173,7 +171,7 @@ def cmd_recommend(args):
     collections = load_user_collections(args.mindmaps)
     if args.user not in collections:
         raise MindrecError(f"unknown user {args.user!r}")
-    _preresolve_citations(corpus, collections)
+    corpus.freeze(collections)
     config = _load_config(args)
     catalog = _stereotype_catalog(corpus, args.stereotype)
     rng = random.Random(matching.derive_seed(args.seed, args.user))
@@ -196,7 +194,7 @@ def cmd_recommend(args):
 def cmd_offline_eval(args):
     corpus = load_corpus_jsonl(args.corpus)
     collections = load_user_collections(args.mindmaps)
-    _preresolve_citations(corpus, collections)
+    corpus.freeze(collections)
     space = None
     if args.space:
         space = _parse_file(experiment.parse_space, args.space)
@@ -231,6 +229,10 @@ def cmd_metrics(args):
     if args.sets:
         set_attrs = {rec_set.set_id: vars(rec_set)
                      for rec_set in read_jsonl(args.sets, _recommendation_set)}
+    if args.group_by not in (None, *GROUP_BY):
+        raise MindrecError(f"--group-by {args.group_by}: not one of {', '.join(GROUP_BY)}")
+    if args.group_by not in (None, "user_id") and set_attrs is None:
+        raise MindrecError(f"--group-by {args.group_by}: a set field needs --sets")
     report = evaluation.online_metrics(events, ratings, group_by=args.group_by,
                                        set_attrs=set_attrs)
     _write_csv(args.out, ["group", "metric", "value", "n"],

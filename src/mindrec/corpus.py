@@ -9,7 +9,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import EmptyQuery, EmptyTitle
+from .errors import EmptyQuery, EmptyTitle, UnknownTitle
 from .rows import read_jsonl
 from .text import tokenize
 
@@ -46,29 +46,22 @@ class Document:
 
 
 class Corpus:
-    """Documents and their indexes.  Not frozen on the query path:
-    `resolve_citation` mints a document for every unseen title, and that
-    document counts toward N in idf = ln(N/df)."""
+    """Documents and their indexes.
+
+    `ingest_document` and `resolve_citation` mint a document for every
+    unseen title, and `freeze` mints one for every title the users' maps
+    cite.  Each minted document counts toward N in idf = ln(N/df).  After
+    `freeze` the query path only reads: `lookup` of an unseen title raises.
+    """
 
     def __init__(self):
         self.documents = {}
         self.cleantitle_index = {}
         self.term_index = {}      # term -> {doc_id: tf}
-        self.citation_index = {}  # cited doc_id -> {citing doc_id: count}
-        self._next_id = 1
+        self.citation_index = {}  # cited doc_id -> {citing doc_id: 1}
 
     def __len__(self):
         return len(self.documents)
-
-    def _fresh_id(self):
-        doc_id = f"doc_{self._next_id}"
-        self._next_id += 1
-        return doc_id
-
-    def _index_terms(self, doc_id, counts):
-        for term, n in counts.items():
-            self.term_index.setdefault(term, {})
-            self.term_index[term][doc_id] = self.term_index[term].get(doc_id, 0) + n
 
     def resolve_citation(self, reference):
         """Map a cited title onto a document id, minting one if unseen."""
@@ -76,9 +69,27 @@ class Corpus:
         doc_id = self.cleantitle_index.get(key)
         if doc_id is not None:
             return doc_id
-        doc_id = self._fresh_id()
+        doc_id = f"doc_{len(self.documents) + 1}"
         self.documents[doc_id] = Document(doc_id, reference, key)
         self.cleantitle_index[key] = doc_id
+        return doc_id
+
+    def freeze(self, collections):
+        """Mint every title linked from the users' latest maps, users in
+        sorted order, so that ids and N do not depend on which user a
+        command builds a model for first."""
+        for user_id in sorted(collections):
+            for mindmap in collections[user_id].latest_maps():
+                for node_id in mindmap.node_ids():
+                    link = mindmap.node(node_id).link
+                    if link:
+                        self.resolve_citation(link)
+
+    def lookup(self, title):
+        """The id of the document a title names; never mints."""
+        doc_id = self.cleantitle_index.get(cleantitle(title))
+        if doc_id is None:
+            raise UnknownTitle(f"no document titled {title!r} in the corpus")
         return doc_id
 
     def ingest_document(self, title, body_terms=None, citations=()):
@@ -94,54 +105,45 @@ class Corpus:
             term_counts.update(t.lower() for t in body_terms)
         new_terms = term_counts - doc.terms
         doc.terms.update(new_terms)
-        self._index_terms(doc_id, new_terms)
+        for term, n in new_terms.items():
+            postings = self.term_index.setdefault(term, {})
+            postings[doc_id] = postings.get(doc_id, 0) + n
 
         for reference in citations:
             cited = self.resolve_citation(reference)
             if cited not in doc.cited_ids:
                 doc.cited_ids.append(cited)
-                self.citation_index.setdefault(cited, {})
-                self.citation_index[cited][doc_id] = (
-                    self.citation_index[cited].get(doc_id, 0) + 1
-                )
+                self.citation_index.setdefault(cited, {})[doc_id] = 1
         return doc_id
-
-    def document_frequency(self, feature):
-        if is_citation_feature(feature):
-            return len(self.citation_index.get(feature[len(CITATION_PREFIX):], {}))
-        return len(self.term_index.get(feature, {}))
 
     def _postings(self, feature):
         if is_citation_feature(feature):
             return self.citation_index.get(feature[len(CITATION_PREFIX):], {})
         return self.term_index.get(feature, {})
 
+    def document_frequency(self, feature):
+        return len(self._postings(feature))
+
+    def idf(self, feature):
+        """ln(N/df) over the whole corpus; 0.0 for a feature no document has."""
+        n_docs, df = len(self.documents), self.document_frequency(feature)
+        return math.log(n_docs / df) if df else 0.0
+
     def score_query(self, features):
         """Weighted TF-IDF dot product over the inverted indexes.
 
-        `features`: iterable of feature strings or (feature, weight) pairs.
-        Returns [(doc_id, score)] sorted score-descending, ties by doc_id;
-        zero-scoring documents are excluded.  idf = ln(N / df).
+        `features`: a list of (feature, weight) pairs.  Returns
+        [(doc_id, score)] sorted score-descending, ties by doc_id;
+        zero-scoring documents are excluded.
         """
-        weighted = []
-        for item in features:
-            if isinstance(item, tuple):
-                weighted.append(item)
-            else:
-                weighted.append((item, 1.0))
-        if not weighted:
+        if not features:
             raise EmptyQuery("query has no features")
-
-        n_docs = len(self.documents)
         scores = {}
-        for feature, q_weight in weighted:
-            postings = self._postings(feature)
-            if not postings:
-                continue
-            idf = math.log(n_docs / len(postings))
+        for feature, q_weight in features:
+            idf = self.idf(feature)
             if idf == 0.0:
                 continue
-            for doc_id, tf in postings.items():
+            for doc_id, tf in self._postings(feature).items():
                 scores[doc_id] = scores.get(doc_id, 0.0) + q_weight * tf * idf
         ranked = [(doc_id, s) for doc_id, s in scores.items() if s != 0.0]
         ranked.sort(key=lambda pair: (-pair[1], pair[0]))

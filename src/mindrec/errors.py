@@ -33,6 +33,10 @@ class EmptyQuery(MindrecError):
     pass
 
 
+class UnknownTitle(MindrecError):
+    pass
+
+
 # user modeling
 
 class EmptyCollection(MindrecError):

@@ -91,17 +91,18 @@ def _citation_nodes(collection, created):
 def offline_evaluate_user(collection, corpus, config):
     """Remove the most recently added citation (and everything newer),
     rebuild the model, and check where the removed paper ranks.  A map
-    whose root is newer than that citation is left out whole."""
+    whose root is newer than that citation is left out whole.  The corpus
+    must be frozen over the collection."""
     created = _creation_times(collection)
     citations = _citation_nodes(collection, created)
     if not citations:
         raise NoCitations(f"user {collection.user_id!r} has no cited nodes")
     target_at, target_map, target_node, target_link = citations[0]
-    target_doc = corpus.resolve_citation(target_link)
+    target_doc = corpus.lookup(target_link)
 
     relevant = []
     for _, _, _, link in citations[:10]:
-        doc_id = corpus.resolve_citation(link)
+        doc_id = corpus.lookup(link)
         if doc_id not in relevant:
             relevant.append(doc_id)
 
@@ -154,12 +155,11 @@ def _dedupe(events):
 
 
 def _rates(events, ratings):
-    shown = [e for e in events if e.kind == "shown"]
-    if not shown:
-        raise NoImpressions("no shown events")
     counts = {kind: sum(1 for e in events if e.kind == kind)
               for kind in REC_EVENT_KINDS}
     n_shown = counts["shown"]
+    if not n_shown:
+        raise NoImpressions("no shown events")
 
     per_set = {}
     per_user = {}
@@ -194,7 +194,8 @@ def online_metrics(events, ratings=(), group_by=None, set_attrs=None):
 
     Each (set_id, doc_id, kind) is counted at most once.  `group_by`:
     None for one overall group, "user_id", or an attribute key looked up
-    in `set_attrs` (set_id -> {key: value}).  Returns
+    in `set_attrs` (set_id -> {key: value}); a group is the text of the
+    value, "unknown" for a set not in `set_attrs`.  Returns
     [(group, metric, value, n)] rows.
     """
     events = _dedupe(events)
@@ -205,7 +206,7 @@ def online_metrics(events, ratings=(), group_by=None, set_attrs=None):
             return "all"
         if group_by == "user_id":
             return record.user_id
-        return (set_attrs or {}).get(record.set_id, {}).get(group_by, "unknown")
+        return str((set_attrs or {}).get(record.set_id, {}).get(group_by, "unknown"))
 
     grouped_events = {}
     for e in events:

@@ -61,7 +61,7 @@ CHOICES = {
     "metrics": NODE_METRICS,
     "transform": tuple(TRANSFORMS),
     "direction": ("stronger", "weaker"),
-    "combiner": COMBINERS,
+    "combiner": tuple(COMBINERS),
     "feature_type": ("terms", "citations", "both"),
     "scheme": TERM_SCHEMES + CITATION_SCHEMES,
 }

@@ -181,19 +181,12 @@ def derive_events(revisions):
     sibling index) pair.  A sidecar event log, when available, should be
     preferred over this reconstruction.
     """
-    last = None
-    for rev in revisions:
-        if last is not None:
-            if rev.map_id != last.map_id:
-                raise InconsistentRevisions("revisions mix map ids")
-            if rev.revision <= last.revision:
-                raise InconsistentRevisions(
-                    f"revision {rev.revision} after {last.revision}"
-                )
-        last = rev
-
     events = []
     for prev, cur in zip(revisions, revisions[1:]):
+        if cur.map_id != prev.map_id:
+            raise InconsistentRevisions("revisions mix map ids")
+        if cur.revision <= prev.revision:
+            raise InconsistentRevisions(f"revision {cur.revision} after {prev.revision}")
         at = cur.saved_at
         for node_id in cur.node_ids():
             if node_id not in prev:
@@ -228,20 +221,15 @@ class MindMapCollection:
             self.revisions.setdefault(rev.map_id, []).append(rev)
         for chain in self.revisions.values():
             chain.sort(key=lambda m: m.revision)
-        if events is not None:
-            self.events = sorted(events, key=lambda e: (e.at, e.map_id, e.node_id, e.kind))
-        else:
-            derived = []
+        if events is None:
+            events = []
             for chain in self.revisions.values():
                 first = chain[0]
-                for node_id in first.node_ids():
-                    derived.append(
-                        NodeEvent(first.map_id, node_id, "created",
-                                  first.node(node_id).created_at)
-                    )
-                derived.extend(derive_events(chain))
-            derived.sort(key=lambda e: (e.at, e.map_id, e.node_id, e.kind))
-            self.events = derived
+                events += [NodeEvent(first.map_id, node_id, "created",
+                                     first.node(node_id).created_at)
+                           for node_id in first.node_ids()]
+                events += derive_events(chain)
+        self.events = sorted(events, key=lambda e: (e.at, e.map_id, e.node_id, e.kind))
 
     @property
     def map_ids(self):

@@ -7,6 +7,7 @@ by `build`, becomes a MalformedRow naming the file and the row or line.
 """
 
 import csv
+import itertools
 import json
 from pathlib import Path
 
@@ -30,24 +31,32 @@ def read_text(path):
 
 
 def read_csv(path, build):
-    """[build({column: value}) for each non-blank row]; the header is row 1.
+    """[build({column: value}) for each non-blank row].
 
-    A row shorter than the header lacks the missing columns' keys.  The
-    rows are zipped with the header because csv.DictReader is a sixth
-    slower on long event logs.
+    Rows are numbered as lines of the file, blank ones included; the
+    header is row 1.  A row shorter than the header lacks the missing
+    columns' keys.  The rows are zipped with the header because
+    csv.DictReader is a sixth slower on long event logs.
     """
-    built, number = [], 2
+    built = []
     with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
         try:
-            reader = csv.reader(handle)
             header = next(reader, [])
             for row in reader:
                 if row:
                     built.append(build(dict(zip(header, row))))
-                    number += 1
         except FAULTS as exc:
-            raise _malformed(path, f"row {number}", exc) from exc
+            raise _malformed(path, f"row {reader.line_num}", exc) from exc
     return built
+
+
+def csv_row_of(path, index):
+    """The number of the row that read_csv built its index-th value from."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        numbers = (reader.line_num for row in reader if row)
+        return next(itertools.islice(numbers, index + 1, None))
 
 
 def read_jsonl(path, build):

@@ -29,7 +29,12 @@ TRANSFORMS = {
 }
 
 NODE_METRICS = ("depth", "children", "siblings", "term_count")
-COMBINERS = ("sum", "max", "product", "avg")
+COMBINERS = {
+    "sum": sum,
+    "max": max,
+    "product": math.prod,
+    "avg": lambda scores: sum(scores) / len(scores),
+}
 
 
 @dataclass
@@ -177,18 +182,7 @@ def node_weight(stats, metric, transform, direction):
 def combine_node_weights(scores, combiner):
     if not scores:
         raise EmptyScores("no node-weight scores to combine")
-    if combiner == "sum":
-        return sum(scores)
-    if combiner == "max":
-        return max(scores)
-    if combiner == "avg":
-        return sum(scores) / len(scores)
-    if combiner == "product":
-        product = 1.0
-        for s in scores:
-            product *= s
-        return product
-    raise ValueError(f"unknown combiner {combiner!r}")
+    return COMBINERS[combiner](scores)
 
 
 def weigh_nodes(collection, selection, cfg):
@@ -210,7 +204,7 @@ def extract_features(collection, weighted_nodes, feature_type, remove_stopwords,
     """Emit (feature, occurrence_weight) pairs; features inherit node weight.
 
     Terms come from the node text through the shared tokenizer; citations
-    come from node links resolved against the corpus.
+    come from node links looked up in the frozen corpus.
     """
     occurrences = []
     for map_id, node_id, weight in weighted_nodes:
@@ -219,8 +213,7 @@ def extract_features(collection, weighted_nodes, feature_type, remove_stopwords,
             for token in tokenize(node.text, remove_stopwords=remove_stopwords):
                 occurrences.append((token, weight))
         if feature_type in ("citations", "both") and node.link:
-            doc_id = corpus.resolve_citation(node.link)
-            occurrences.append((citation_feature(doc_id), weight))
+            occurrences.append((citation_feature(corpus.lookup(node.link)), weight))
     return occurrences
 
 
@@ -233,7 +226,7 @@ def _user_document_frequency(collection, corpus):
             node = mindmap.node(node_id)
             present.update(tokenize(node.text))
             if node.link and corpus is not None:
-                present.add(citation_feature(corpus.resolve_citation(node.link)))
+                present.add(citation_feature(corpus.lookup(node.link)))
         for feature in present:
             udf[feature] = udf.get(feature, 0) + 1
     return udf
@@ -255,20 +248,12 @@ def weight_features(occurrences, scheme, corpus=None, collection=None):
     if scheme in ("tf_only", "cc_only"):
         return sorted(tf.items())
     if scheme in ("tf_idf", "cc_idf"):
-        n_docs = len(corpus.documents)
-        out = []
-        for feature, value in sorted(tf.items()):
-            df = corpus.document_frequency(feature)
-            out.append((feature, value * math.log(n_docs / df) if df else 0.0))
-        return out
+        return [(feature, value * corpus.idf(feature)) for feature, value in sorted(tf.items())]
     if scheme == "tf_iduf":
         udf = _user_document_frequency(collection, corpus)
         n_maps = len(collection.revisions)
-        out = []
-        for feature, value in sorted(tf.items()):
-            df = udf.get(feature, 0)
-            out.append((feature, value * math.log(n_maps / df) if df else 0.0))
-        return out
+        return [(feature, value * math.log(n_maps / udf[feature]) if feature in udf else 0.0)
+                for feature, value in sorted(tf.items())]
     raise ValueError(f"unknown weighting scheme {scheme!r}")
 
 

@@ -132,18 +132,16 @@ def test_offline_evaluator_fixtures():
                            body_terms=["zorblax", "quuxify"])
     corpus.ingest_document("Other Paper Entirely", body_terms=["unrelated"])
     corpus.ingest_document("Another Different One", body_terms=["misc"])
-    hit = offline_evaluate_user(
-        user_with_citation("Zorblax Quuxify Theory",
-                           ["zorblax quuxify", "zorblax"], now),
-        corpus, simple_config())
+    user = user_with_citation("Zorblax Quuxify Theory", ["zorblax quuxify", "zorblax"], now)
+    corpus.freeze({user.user_id: user})
+    hit = offline_evaluate_user(user, corpus, simple_config())
     assert (hit.p_at_3, hit.p_at_10, hit.mrr_term, hit.ndcg) == (1, 1, 1.0, 1.0)
 
     corpus2 = Corpus()
     corpus2.ingest_document("Completely Elsewhere Work", body_terms=["elsewhere"])
-    miss = offline_evaluate_user(
-        user_with_citation("Some Uningested Reference",
-                           ["grobnik vexilla", "wumpus"], now),
-        corpus2, simple_config())
+    user = user_with_citation("Some Uningested Reference", ["grobnik vexilla", "wumpus"], now)
+    corpus2.freeze({user.user_id: user})
+    miss = offline_evaluate_user(user, corpus2, simple_config())
     assert (miss.p_at_3, miss.p_at_10, miss.mrr_term, miss.ndcg) == (0, 0, 0.0, 0.0)
     print(f"{PASS} offline evaluator: forced-hit fixture all 1.0, disjoint "
           f"fixture all 0.0")

@@ -83,6 +83,43 @@ class TestMetricsCommand:
         groups = {r["group"] for r in csv.DictReader(out.read_text().splitlines())}
         assert groups == {"all_maps_all_terms", "unknown"}
 
+    @pytest.mark.parametrize("group_by, groups", [
+        ("user_id", {"user00"}),
+        ("set_id", {"s1", "unknown"}),
+        ("created_at", {"1", "unknown"}),
+        ("trigger", {"requested", "unknown"}),
+        ("label", {"", "unknown"}),
+        ("algorithm", {"all_maps_all_terms", "unknown"}),
+    ])
+    def test_group_by_scalar_set_fields(self, tmp_path, group_by, groups):
+        # s2 has no set, so it lands in the text group "unknown", next to
+        # the set's own value, which created_at gives as a number
+        events = tmp_path / "e.csv"
+        events.write_text("set_id,doc_id,user_id,kind,at\n"
+                          "s1,d1,user00,shown,1\ns2,d1,user00,shown,2\n")
+        sets = tmp_path / "sets.jsonl"
+        sets.write_text(GOOD_SET + "\n")
+        out = tmp_path / "report.csv"
+        assert run(["metrics", "--events", events, "--sets", sets,
+                    "--group-by", group_by, "--out", out]) == 0
+        assert {r["group"] for r in csv.DictReader(out.read_text().splitlines())} == groups
+
+    @pytest.mark.parametrize("group_by, with_sets", [
+        ("items", True), ("nosuch", True), ("nosuch", False), ("algorithm", False),
+    ], ids=["list_field", "unknown_name_with_sets", "unknown_name",
+            "set_field_without_sets"])
+    def test_group_by_rejected(self, tmp_path, capsys, group_by, with_sets):
+        events = tmp_path / "e.csv"
+        events.write_text("set_id,doc_id,user_id,kind,at\ns1,d1,user00,shown,1\n")
+        sets = tmp_path / "sets.jsonl"
+        sets.write_text(GOOD_SET + "\n")
+        argv = ["metrics", "--events", events, "--group-by", group_by]
+        if with_sets:
+            argv += ["--sets", sets]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --group-by {group_by}") and "Traceback" not in err
+
 
 class TestReplayEventLog:
     def test_empty_log(self, tmp_path):
@@ -100,6 +137,20 @@ class TestReplayEventLog:
         p = tmp_path / "e.csv"
         p.write_text("set_id,doc_id,user_id,kind,at\ns1,d1,u,shown,notanumber\n")
         with pytest.raises(MalformedRow):
+            cli.replay_event_log(p)
+
+    def test_blank_row_counted_in_bad_row_number(self, tmp_path):
+        p = tmp_path / "e.csv"
+        p.write_text("set_id,doc_id,user_id,kind,at\ns1,d1,u,shown,5\n\n"
+                     "s1,d1,u,clicked,soon\n")
+        with pytest.raises(MalformedRow, match=f"^{re.escape(str(p))}: row 4: "):
+            cli.replay_event_log(p)
+
+    def test_blank_row_counted_in_invariant_row_number(self, tmp_path):
+        p = tmp_path / "e.csv"
+        p.write_text("set_id,doc_id,user_id,kind,at\ns1,d1,u,shown,5\n\n"
+                     "s2,d2,u,clicked,7\ns2,d2,u,shown,9\n")
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(str(p))}: row 4: "):
             cli.replay_event_log(p)
 
     def test_shuffled_log_sorted(self, tmp_path):
@@ -141,6 +192,34 @@ class TestRecommendCommand:
                     "--mindmaps", maps_dir, "--user", "ghost",
                     "--seed", 1, "--now", now]) == 1
 
+    def _catalog_call(self, tmp_path, catalog_lines):
+        """recommend from a --stereotype file of catalog_lines(corpus titles)."""
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path)
+        titles = [json.loads(line)["title"] for line in corpus_path.read_text().splitlines()]
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text("".join(f"{line}\n" for line in catalog_lines(titles)))
+        out = tmp_path / "rec.csv"
+        code = run(["recommend", "--corpus", corpus_path, "--mindmaps", maps_dir,
+                    "--user", "user01", "--seed", 1, "--now", now,
+                    "--stereotype", catalog, "--p-stereotype", 1, "--out", out])
+        return code, catalog, out
+
+    def test_stereotype_catalog_served(self, tmp_path):
+        code, _, out = self._catalog_call(
+            tmp_path, lambda titles: [titles[4], "", titles[2].upper()])
+        assert code == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert {r["algorithm"] for r in rows} == {"stereotype"}
+        assert sorted(r["doc_id"] for r in rows) == ["doc_3", "doc_5"]
+
+    def test_unknown_stereotype_title_named(self, tmp_path, capsys):
+        # the title is looked up, not minted as a document with no terms
+        code, catalog, _ = self._catalog_call(
+            tmp_path, lambda titles: [titles[0], "Not In The Corpus"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {catalog}: line 2: ") and "Not In The Corpus" in err
+
 
 class TestOfflineEvalCommand:
     def test_matches_per_user_calls(self, tmp_path):
@@ -153,7 +232,7 @@ class TestOfflineEvalCommand:
 
         corpus = load_corpus_jsonl(corpus_path)
         collections = cli.load_user_collections(maps_dir)
-        cli._preresolve_citations(corpus, collections)
+        corpus.freeze(collections)
         config = experiment.preset("all_maps_all_terms")
         expected = [evaluation.offline_evaluate_user(collections[u], corpus, config)
                     for u in sorted(collections)]

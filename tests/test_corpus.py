@@ -5,9 +5,10 @@ import re
 import pytest
 
 from mindrec.corpus import Corpus, citation_feature, cleantitle, load_corpus_jsonl
-from mindrec.errors import EmptyQuery, EmptyTitle, MalformedRow
+from mindrec.errors import EmptyQuery, EmptyTitle, MalformedRow, MindrecError
+from mindrec.usermodel import extract_features
 
-from conftest import WORDS
+from conftest import WORDS, node, single_map_collection, small_corpus
 
 
 class TestCleantitle:
@@ -134,6 +135,41 @@ def brute_force_scores(corpus, features):
     return out
 
 
+class TestFreeze:
+    def _collections(self):
+        cited = node("r", "root", link="Zeta Ghost", children=[
+            node("n1", "known", link="quantum flux paradigm!"),
+            node("n2", "again", link="ZETA GHOST")])
+        return {
+            "user_b": single_map_collection("user_b", cited),
+            "user_a": single_map_collection(
+                "user_a", node("r", "root", children=[node("n", "x", link="Alpha Ghost")])),
+        }
+
+    def test_mints_each_link_once_in_sorted_user_order(self):
+        corpus = small_corpus()
+        corpus.freeze(self._collections())
+        assert (corpus.lookup("Alpha Ghost"), corpus.lookup("zeta ghost")) == ("doc_4", "doc_5")
+        assert corpus.lookup("Quantum Flux Paradigm") == "doc_1"
+        assert len(corpus) == 5
+        corpus.freeze(self._collections())
+        assert len(corpus) == 5
+
+    def test_lookup_of_unminted_title_raises(self):
+        corpus = small_corpus()
+        with pytest.raises(MindrecError, match="Never Minted Paper"):
+            corpus.lookup("Never Minted Paper")
+        assert len(corpus) == 3
+
+    def test_query_path_never_mints(self):
+        # a citation feature of a link freeze did not see is a fault
+        corpus = small_corpus()
+        collection = single_map_collection("u", node("r", "root", link="Unseen Reference"))
+        with pytest.raises(MindrecError, match="Unseen Reference"):
+            extract_features(collection, [("m1", "r", 1.0)], "citations", False, corpus=corpus)
+        assert len(corpus) == 3
+
+
 class TestScoreQuery:
     def _ab_corpus(self):
         corpus = Corpus()
@@ -143,15 +179,15 @@ class TestScoreQuery:
 
     def test_single_hit(self):
         corpus = self._ab_corpus()
-        [(doc_id, score)] = corpus.score_query(["aa"])
+        [(doc_id, score)] = corpus.score_query([("aa", 1.0)])
         assert corpus.documents[doc_id].title == "docalpha"
         assert score == pytest.approx(math.log(2))
 
     def test_df_equals_n_scores_zero(self):
-        assert self._ab_corpus().score_query(["bb"]) == []
+        assert self._ab_corpus().score_query([("bb", 1.0)]) == []
 
     def test_absent_feature(self):
-        assert self._ab_corpus().score_query(["zz"]) == []
+        assert self._ab_corpus().score_query([("zz", 1.0)]) == []
 
     def test_empty_query(self):
         with pytest.raises(EmptyQuery):
@@ -159,7 +195,7 @@ class TestScoreQuery:
 
     def test_weighted_query(self):
         corpus = self._ab_corpus()
-        [(_, unweighted)] = corpus.score_query(["aa"])
+        [(_, unweighted)] = corpus.score_query([("aa", 1.0)])
         [(_, weighted)] = corpus.score_query([("aa", 3.0)])
         assert weighted == pytest.approx(3 * unweighted)
 
@@ -192,7 +228,7 @@ class TestScoreQuery:
         corpus.ingest_document("docalpha", body_terms=["aa", "aa", "aa"])
         corpus.ingest_document("docbeta", body_terms=["aa"])
         corpus.ingest_document("docgamma", body_terms=["cc"])
-        before = [d for d, _ in corpus.score_query(["aa"])]
+        before = [d for d, _ in corpus.score_query([("aa", 1.0)])]
         corpus.ingest_document("unrelated", body_terms=["zz"])
-        after = [d for d, _ in corpus.score_query(["aa"])]
+        after = [d for d, _ in corpus.score_query([("aa", 1.0)])]
         assert before == after

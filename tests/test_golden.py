@@ -90,7 +90,7 @@ def _pools_repr(inputs):
     """repr of [(user_id, pool or None)] for the sampled rich users."""
     corpus = load_corpus_jsonl(inputs / "corpus.jsonl")
     collections = cli.load_user_collections(str(inputs / "mindmaps"))
-    cli._preresolve_citations(corpus, collections)
+    corpus.freeze(collections)
     config = experiment.preset("docear_combined")
     config.features.store_weights = True
     pools = []
