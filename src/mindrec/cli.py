@@ -279,6 +279,14 @@ def cmd_export(args):
 
 # --- argument parsing ------------------------------------------------------
 
+def probability(text):
+    """A float p with 0 <= p <= 1; `nan` fails the comparison too."""
+    p = float(text)
+    if not 0.0 <= p <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a probability in [0, 1]")
+    return p
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="mindrec")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -313,7 +321,7 @@ def build_parser():
     config_choice(p)
     p.add_argument("--user", required=True)
     p.add_argument("--stereotype")
-    p.add_argument("--p-stereotype", type=float, default=0.01)
+    p.add_argument("--p-stereotype", type=probability, default=matching.DEFAULT_P_STEREOTYPE)
     p.add_argument("--label", default="")
     p.add_argument("--sets-out")
     p.set_defaults(func=cmd_recommend)

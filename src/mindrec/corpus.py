@@ -5,6 +5,7 @@ Citation features are addressed with a ``citation:`` prefix so that term
 and citation features can share one query (mixed user models).
 """
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -129,25 +130,32 @@ class Corpus:
         n_docs, df = len(self.documents), self.document_frequency(feature)
         return math.log(n_docs / df) if df else 0.0
 
-    def score_query(self, features):
+    def rank(self, features, top=None):
         """Weighted TF-IDF dot product over the inverted indexes.
 
         `features`: a list of (feature, weight) pairs.  Returns
         [(doc_id, score)] sorted score-descending, ties by doc_id;
-        zero-scoring documents are excluded.
+        zero-scoring documents are excluded.  With `top`, only the first
+        `top` of that list, picked with a heap: the same floats in the
+        same order as a full sort.
         """
         if not features:
             raise EmptyQuery("query has no features")
         scores = {}
+        get = scores.get
         for feature, q_weight in features:
             idf = self.idf(feature)
             if idf == 0.0:
                 continue
             for doc_id, tf in self._postings(feature).items():
-                scores[doc_id] = scores.get(doc_id, 0.0) + q_weight * tf * idf
-        ranked = [(doc_id, s) for doc_id, s in scores.items() if s != 0.0]
-        ranked.sort(key=lambda pair: (-pair[1], pair[0]))
-        return ranked
+                scores[doc_id] = get(doc_id, 0.0) + q_weight * tf * idf
+        keyed = ((-s, doc_id) for doc_id, s in scores.items() if s != 0.0)
+        ranked = sorted(keyed) if top is None else heapq.nsmallest(top, keyed)
+        return [(doc_id, -s) for s, doc_id in ranked]
+
+    def score_query(self, features):
+        """The full ranking: `rank(features)`."""
+        return self.rank(features)
 
 
 def _strings(value):

@@ -11,7 +11,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from .errors import EmptyModel, EmptyPool, NoPositiveFeatures
+from .errors import EmptyCollection, EmptyModel, EmptyPool, NoPositiveFeatures
 from .experiment import build_model
 
 DEFAULT_POOL_SIZE = 50
@@ -43,7 +43,7 @@ def retrieve_candidates(corpus, model, pool_size=DEFAULT_POOL_SIZE):
     if not model.features:
         raise EmptyModel(f"user model for {model.user_id!r} is empty")
     query = [(f, 1.0 if w is None else w) for f, w in model.features]
-    return corpus.score_query(query)[:pool_size]
+    return corpus.rank(query, top=pool_size)
 
 
 def select_and_shuffle(pool, k=DEFAULT_SET_SIZE, rng=None):
@@ -95,7 +95,7 @@ def dispatch(collection, corpus, config, stereotype_catalog, rng,
                 raise EmptyPool("no candidates for user model")
             items = select_and_shuffle(pool, k=k, rng=rng)
             algorithm = config.preset_name or "random"
-        except (NoPositiveFeatures, EmptyPool):
+        except (EmptyCollection, NoPositiveFeatures, EmptyPool):
             pass  # fall back to the stereotype catalog
     if items is None:
         catalog_pool = [(doc_id, 0.0) for doc_id in stereotype_catalog]

@@ -34,9 +34,10 @@ def read_csv(path, build):
     """[build({column: value}) for each non-blank row].
 
     Rows are numbered as lines of the file, blank ones included; the
-    header is row 1.  A row shorter than the header lacks the missing
-    columns' keys.  The rows are zipped with the header because
-    csv.DictReader is a sixth slower on long event logs.
+    header is row 1, and a blank one is malformed unless no row follows
+    it.  A row shorter than the header lacks the missing columns' keys.
+    The rows are zipped with the header because csv.DictReader is a
+    sixth slower on long event logs.
     """
     built = []
     with open(path, newline="", encoding="utf-8") as handle:
@@ -45,6 +46,8 @@ def read_csv(path, build):
             header = next(reader, [])
             for row in reader:
                 if row:
+                    if not header:
+                        raise _malformed(path, "row 1", "blank header row")
                     built.append(build(dict(zip(header, row))))
         except FAULTS as exc:
             raise _malformed(path, f"row {reader.line_num}", exc) from exc

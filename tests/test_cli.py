@@ -153,6 +153,18 @@ class TestReplayEventLog:
         with pytest.raises(InvariantViolation, match=f"^{re.escape(str(p))}: row 4: "):
             cli.replay_event_log(p)
 
+    def test_blank_header_row_named(self, tmp_path, capsys):
+        p = tmp_path / "e.csv"
+        p.write_text("\nset_id,doc_id,user_id,kind,at\ns1,d1,u,shown,5\n")
+        assert run(["reiterate", "--events", p]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: row 1: ") and "blank header" in err
+
+    def test_wholly_empty_log(self, tmp_path):
+        p = tmp_path / "e.csv"
+        p.write_text("")
+        assert cli.replay_event_log(p) == []
+
     def test_shuffled_log_sorted(self, tmp_path):
         rng = random.Random(8)
         rows = []
@@ -219,6 +231,29 @@ class TestRecommendCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {catalog}: line 2: ") and "Not In The Corpus" in err
+
+    def test_user_without_maps_gets_stereotype(self, tmp_path):
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        (maps_dir / "emptyuser").mkdir()
+        out = tmp_path / "rec.csv"
+        assert run(["recommend", "--corpus", corpus_path, "--mindmaps", maps_dir,
+                    "--user", "emptyuser", "--seed", 1, "--now", now,
+                    "--p-stereotype", 0, "--out", out]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert rows and {r["algorithm"] for r in rows} == {"stereotype"}
+
+    @pytest.mark.parametrize("value", ["-3", "1.5", "nan"])
+    def test_p_stereotype_outside_unit_interval_rejected(self, tmp_path, capsys, value):
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        out = tmp_path / "rec.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["recommend", "--corpus", corpus_path, "--mindmaps", maps_dir,
+                 "--user", "user01", "--seed", 1, "--now", now,
+                 f"--p-stereotype={value}", "--out", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--p-stereotype" in err and value in err
+        assert not out.exists()
 
 
 class TestOfflineEvalCommand:

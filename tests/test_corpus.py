@@ -232,3 +232,49 @@ class TestScoreQuery:
         corpus.ingest_document("unrelated", body_terms=["zz"])
         after = [d for d, _ in corpus.score_query([("aa", 1.0)])]
         assert before == after
+
+
+class TestRank:
+    def test_top_k_is_prefix_of_full_ranking(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            corpus = Corpus()
+            for i in range(rng.randint(2, 30)):
+                terms = [rng.choice(WORDS[:8]) for _ in range(rng.randint(1, 5))]
+                cites = []
+                if corpus.documents and rng.random() < 0.4:
+                    cites = [corpus.documents[rng.choice(sorted(corpus.documents))].title]
+                corpus.ingest_document(f"title {i} {rng.choice(WORDS)}",
+                                       body_terms=terms, citations=cites)
+            query = [(rng.choice(WORDS[:8]), rng.choice([1.0, 2.0, rng.random()]))
+                     for _ in range(rng.randint(1, 5))]
+            if corpus.citation_index and rng.random() < 0.5:
+                query.append((citation_feature(rng.choice(sorted(corpus.citation_index))),
+                              rng.random()))
+            full = corpus.rank(query)
+            assert corpus.score_query(query) == full
+            n = len(full)
+            for top in {1, 2, n - 1, n, n + 5} - {-1, 0}:
+                assert corpus.rank(query, top=top) == full[:top]
+
+    def test_ties_at_the_cut_keep_lowest_doc_ids(self):
+        corpus = Corpus()
+        for word in WORDS[:11]:                      # doc_1 .. doc_11: tf 1
+            corpus.ingest_document(f"paper {word}", body_terms=["aa"])
+        corpus.ingest_document("paper best", body_terms=["aa", "aa"])   # doc_12
+        for word in WORDS[11:14]:                    # doc_13 .. doc_15
+            corpus.ingest_document(f"filler {word}", body_terms=["zz"])
+        idf = math.log(15 / 12)
+        # doc ids are strings: doc_1 < doc_10 < doc_11 < doc_2
+        assert corpus.rank([("aa", 1.0)], top=4) == [
+            ("doc_12", 1.0 * 2 * idf), ("doc_1", 1.0 * 1 * idf),
+            ("doc_10", 1.0 * 1 * idf), ("doc_11", 1.0 * 1 * idf)]
+        full = corpus.rank([("aa", 1.0)])
+        assert [d for d, _ in full] == ["doc_12", "doc_1", "doc_10", "doc_11",
+                                        *(f"doc_{i}" for i in range(2, 10))]
+        for top in range(1, 14):
+            assert corpus.rank([("aa", 1.0)], top=top) == full[:top]
+
+    def test_empty_query_with_top(self):
+        with pytest.raises(EmptyQuery):
+            Corpus().rank([], top=5)
