@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import evaluation, experiment, matching
 from .corpus import load_corpus_jsonl
-from .errors import (InvalidConfig, InvariantViolation, MalformedInput, MindrecError,
-                     NoCitations, UnknownTitle)
+from .errors import (InconsistentRevisions, InvalidConfig, InvariantViolation,
+                     MalformedInput, MindrecError, NoCitations, UnknownTitle)
 from .evaluation import RecEvent, SetRating
 from .matching import RecommendationItem, RecommendationSet
 from .mindmap import MindMapCollection, parse_mindmap, read_event_log
@@ -57,8 +57,11 @@ def load_user_collections(mindmaps_dir):
         sidecar = user_dir / "events.csv"
         if sidecar.exists():
             events = read_event_log(sidecar)
-        collections[user_dir.name] = MindMapCollection(user_dir.name, revisions,
-                                                       events=events)
+        try:
+            collections[user_dir.name] = MindMapCollection(user_dir.name, revisions,
+                                                           events=events)
+        except InconsistentRevisions as exc:
+            raise InconsistentRevisions(f"{user_dir}: {exc}") from exc
     return collections
 
 

@@ -123,7 +123,6 @@ def offline_evaluate_user(collection, corpus, config):
               if (e.map_id, e.node_id) in surviving and e.at <= target_at]
     pruned = MindMapCollection(collection.user_id, pruned_maps, events=events)
 
-    algorithm = config.preset_name or "custom"
     try:
         model = build_model(pruned, corpus, config, now=target_at)
         pool = retrieve_candidates(corpus, model)
@@ -134,7 +133,7 @@ def offline_evaluate_user(collection, corpus, config):
     rank = candidate_ids.index(target_doc) + 1 if target_doc in candidate_ids else None
     return OfflineResult(
         user_id=collection.user_id,
-        algorithm=algorithm,
+        algorithm=config.algorithm,
         target_rank=rank,
         p_at_3=1 if rank is not None and rank <= 3 else 0,
         p_at_10=1 if rank is not None and rank <= 10 else 0,

@@ -2,7 +2,7 @@
 variable space, flat-text serialization, and model building from a
 configuration."""
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 from .errors import InvalidConfig, NoPositiveFeatures, UnknownPreset
 from .mindmap import EVENT_KINDS
@@ -10,9 +10,6 @@ from .usermodel import (
     COMBINERS,
     NODE_METRICS,
     TRANSFORMS,
-    FeatureConfig,
-    NodeWeightConfig,
-    SelectionConfig,
     build_user_model,
     extend_selection,
     extract_features,
@@ -67,39 +64,63 @@ CHOICES = {
 }
 
 
-def _check_choice(key, value):
-    allowed = CHOICES[key]
-    for member in value if isinstance(value, (frozenset, tuple)) else (value,):
-        if member not in allowed:
-            raise InvalidConfig(f"{key}: {member!r} is not one of {', '.join(allowed)}")
+# Selection limits and the model size: each, when set, must be >= 1.
+_POSITIVE = ("map_limit", "node_limit", "day_window", "model_size")
+
+
+def _check(key, value):
+    """Raise InvalidConfig unless one key's value is allowed on its own."""
+    if key in CHOICES:
+        allowed = CHOICES[key]
+        for member in value if isinstance(value, (frozenset, tuple)) else (value,):
+            if member not in allowed:
+                raise InvalidConfig(f"{key}: {member!r} is not one of {', '.join(allowed)}")
+    if key in _POSITIVE and value is not None and value < 1:
+        raise InvalidConfig(f"{key}: {value} is not >= 1")
 
 
 @dataclass
 class AlgorithmConfig:
-    selection: SelectionConfig
-    node_weighting: NodeWeightConfig | None
-    features: FeatureConfig
+    """One algorithm; each field is a config-file key, in file order."""
     preset_name: str | None = None
+    map_limit: int | None = None
+    node_limit: int | None = None
+    day_window: int | None = None
+    event_kind: str = "any"
+    visibility: str = "all"
+    extension: frozenset = frozenset()
+    fallback_any: bool = False       # < node_limit nodes -> select again, event_kind any
+    node_weighting: bool = False     # off: every node weighs 1, metrics..combiner unused
+    metrics: tuple = ("depth",)
+    transform: str = "abs"
+    direction: str = "stronger"
+    combiner: str = "sum"
+    feature_type: str = "terms"
+    scheme: str = "tf_only"
+    remove_stopwords: bool = False
+    model_size: int = 25
+    store_weights: bool = False
+
+    @property
+    def algorithm(self):
+        """The name output rows give this algorithm."""
+        return self.preset_name or "custom"
 
     def validate(self):
         """Raise InvalidConfig unless every field holds a value the
         pipeline can run."""
-        sel, feat = self.selection, self.features
-        if sel.map_limit is None and sel.node_limit is None and sel.day_window is None:
+        if self.map_limit is None and self.node_limit is None and self.day_window is None:
             raise InvalidConfig("selection needs map_limit, node_limit, or day_window")
-        if sel.fallback_any and sel.node_limit is None:
+        if self.fallback_any and self.node_limit is None:
             raise InvalidConfig("fallback_any needs node_limit")
-        values = _flatten(self)
-        for key in CHOICES:
-            _check_choice(key, values[key])
-        if self.node_weighting is not None and not self.node_weighting.metrics:
+        for key, value in asdict(self).items():
+            _check(key, value)
+        if self.node_weighting and not self.metrics:
             raise InvalidConfig("metrics: node weighting needs at least one metric")
         schemes = {"terms": TERM_SCHEMES, "citations": CITATION_SCHEMES}
-        if feat.scheme not in schemes.get(feat.feature_type, CHOICES["scheme"]):
+        if self.scheme not in schemes.get(self.feature_type, CHOICES["scheme"]):
             raise InvalidConfig(
-                f"scheme {feat.scheme!r} does not fit feature_type {feat.feature_type!r}")
-        if feat.model_size < 1:
-            raise InvalidConfig("model_size must be >= 1")
+                f"scheme {self.scheme!r} does not fit feature_type {self.feature_type!r}")
 
 
 # One candidate list per drawable field, in a fixed draw order so that a
@@ -153,7 +174,7 @@ def random_config(space, rng):
         fallback = [v for v in space["node_limit"] if v is not None]
         drawn["node_limit"] = fallback[0]
 
-    config = _assemble(drawn)
+    config = AlgorithmConfig(**drawn)
     config.validate()
     return config
 
@@ -166,24 +187,23 @@ def preset(name):
 
 
 def build_model(collection, corpus, config, now):
-    """Run every stage the configuration's selection, node_weighting and
-    features sections describe, ending in the model built at `now`."""
+    """Run every pipeline stage the configuration describes, ending in
+    the model built at `now`."""
     if config.preset_name == "stereotype":
         raise InvalidConfig("the stereotype preset builds no user model; "
                             "only recommend serves it")
-    features = config.features
-    selection = select_nodes(collection, config.selection, now)
-    selection = extend_selection(collection, selection, config.selection.extension)
-    weighted_nodes = weigh_nodes(collection, selection, config.node_weighting)
+    selection = select_nodes(collection, config, now)
+    selection = extend_selection(collection, selection, config.extension)
+    weighted_nodes = weigh_nodes(collection, selection, config)
     occurrences = extract_features(
-        collection, weighted_nodes, features.feature_type,
-        features.remove_stopwords, corpus=corpus,
+        collection, weighted_nodes, config.feature_type,
+        config.remove_stopwords, corpus=corpus,
     )
     if not occurrences:
         raise NoPositiveFeatures("selection yielded no features")
-    weighted = weight_features(occurrences, features.scheme,
+    weighted = weight_features(occurrences, config.scheme,
                                corpus=corpus, collection=collection)
-    return build_user_model(weighted, features, collection.user_id)
+    return build_user_model(weighted, config, collection.user_id)
 
 
 def docear_combined_model(collection, corpus, now):
@@ -207,9 +227,8 @@ def _names(kind):
     return lambda raw: kind() if raw in ("", "none") else kind(raw.split("+"))
 
 
-# Every config-file key, in file order, with the parser of its text.  The
-# keys besides preset_name and node_weighting (the on/off switch of that
-# section) are the fields of the three section dataclasses.
+# Every config-file key, in file order, with the parser of its text; the
+# keys are the fields of AlgorithmConfig.
 PARSERS = {
     "preset_name": _optional(str),
     "map_limit": _optional(int),
@@ -231,32 +250,6 @@ PARSERS = {
     "store_weights": _flag,
 }
 
-_SECTIONS = {"selection": SelectionConfig, "node_weighting": NodeWeightConfig,
-             "features": FeatureConfig}
-
-
-def _flatten(config):
-    """key -> value for every PARSERS key; a switched-off node_weighting
-    section reads as its defaults."""
-    values = {"preset_name": config.preset_name,
-              "node_weighting": config.node_weighting is not None}
-    for name, cls in _SECTIONS.items():
-        values.update(asdict(getattr(config, name) or cls()))
-    return values
-
-
-def _assemble(values):
-    """AlgorithmConfig from key -> value pairs; a key left out keeps the
-    default of its field."""
-    sections = {
-        name: cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
-        for name, cls in _SECTIONS.items()
-    }
-    if not values.get("node_weighting"):
-        sections["node_weighting"] = None
-    return AlgorithmConfig(preset_name=values.get("preset_name"), **sections)
-
-
 def _fmt(value):
     if value is None:
         return "none"
@@ -274,8 +267,7 @@ def _parse(key, raw):
         value = PARSERS[key](raw)
     except ValueError as exc:
         raise InvalidConfig(f"{key}: {exc}") from exc
-    if key in CHOICES:
-        _check_choice(key, value)
+    _check(key, value)
     return value
 
 
@@ -291,8 +283,7 @@ def _lines(text):
 
 def serialize_config(config):
     """Round-trip-stable `key = value` lines covering every field."""
-    values = _flatten(config)
-    return "".join(f"{key} = {_fmt(values[key])}\n" for key in PARSERS)
+    return "".join(f"{key} = {_fmt(value)}\n" for key, value in asdict(config).items())
 
 
 def parse_config(text):
@@ -303,7 +294,7 @@ def parse_config(text):
         if key not in PARSERS:
             raise InvalidConfig(f"line {number}: unknown key {key!r}")
         values[key] = _parse(key, raw)
-    config = _assemble(values)
+    config = AlgorithmConfig(**values)
     config.validate()
     return config
 

@@ -8,7 +8,6 @@ no model can be built for.
 """
 
 import hashlib
-import random
 from dataclasses import dataclass
 
 from .errors import EmptyCollection, EmptyModel, EmptyPool, NoPositiveFeatures
@@ -46,7 +45,7 @@ def retrieve_candidates(corpus, model, pool_size=DEFAULT_POOL_SIZE):
     return corpus.rank(query, top=pool_size)
 
 
-def select_and_shuffle(pool, k=DEFAULT_SET_SIZE, rng=None):
+def select_and_shuffle(pool, rng, k=DEFAULT_SET_SIZE):
     """Sample min(k, |pool|) pool entries without replacement, then shuffle.
 
     The generator is consumed in a fixed order (sample, then permutation)
@@ -54,7 +53,6 @@ def select_and_shuffle(pool, k=DEFAULT_SET_SIZE, rng=None):
     """
     if not pool:
         raise EmptyPool("candidate pool is empty")
-    rng = rng or random.Random()
     n = min(k, len(pool))
     picked = rng.sample(range(len(pool)), n)
     display = list(range(1, n + 1))
@@ -94,7 +92,7 @@ def dispatch(collection, corpus, config, stereotype_catalog, rng,
             if not pool:
                 raise EmptyPool("no candidates for user model")
             items = select_and_shuffle(pool, k=k, rng=rng)
-            algorithm = config.preset_name or "random"
+            algorithm = config.algorithm
         except (EmptyCollection, NoPositiveFeatures, EmptyPool):
             pass  # fall back to the stereotype catalog
     if items is None:

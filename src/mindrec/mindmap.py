@@ -85,6 +85,15 @@ def _synthetic_id(path):
     return "syn_" + digest[:12]
 
 
+def _timestamp(attrs, name):
+    """The whole milliseconds of a time attribute; absent reads as 0."""
+    raw = attrs.get(name, "0")
+    try:
+        return int(float(raw))
+    except (ValueError, OverflowError):
+        raise MalformedInput(f"{name}={raw!r} is not a finite number") from None
+
+
 def _parse_node(elem, path):
     if elem.tag != "node":
         raise MalformedInput(f"unexpected element {elem.tag!r}")
@@ -94,8 +103,8 @@ def _parse_node(elem, path):
         text=attrs.get("TEXT", ""),
         link=attrs.get("LINK") or None,
         folded=attrs.get("FOLDED", "false").lower() == "true",
-        created_at=int(float(attrs.get("CREATED", 0))),
-        modified_at=int(float(attrs.get("MODIFIED", 0))),
+        created_at=_timestamp(attrs, "CREATED"),
+        modified_at=_timestamp(attrs, "MODIFIED"),
     )
     child_index = 0
     for child in elem:
@@ -186,7 +195,8 @@ def derive_events(revisions):
         if cur.map_id != prev.map_id:
             raise InconsistentRevisions("revisions mix map ids")
         if cur.revision <= prev.revision:
-            raise InconsistentRevisions(f"revision {cur.revision} after {prev.revision}")
+            raise InconsistentRevisions(f"map {cur.map_id!r}: revision {cur.revision} "
+                                        f"after {prev.revision}")
         at = cur.saved_at
         for node_id in cur.node_ids():
             if node_id not in prev:

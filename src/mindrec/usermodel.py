@@ -38,34 +38,6 @@ COMBINERS = {
 
 
 @dataclass
-class SelectionConfig:
-    map_limit: int | None = None
-    node_limit: int | None = None
-    day_window: int | None = None
-    event_kind: str = "any"          # created | edited | moved | any
-    visibility: str = "all"          # visible_only | invisible_only | all
-    extension: frozenset = frozenset()  # subset of {children, siblings, parents}
-    fallback_any: bool = False       # < node_limit nodes -> select again, event_kind any
-
-
-@dataclass
-class NodeWeightConfig:
-    metrics: tuple = ("depth",)
-    transform: str = "abs"
-    direction: str = "stronger"      # stronger | weaker
-    combiner: str = "sum"
-
-
-@dataclass
-class FeatureConfig:
-    feature_type: str = "terms"      # terms | citations | both
-    scheme: str = "tf_only"          # tf_only | tf_idf | tf_iduf | cc_only | cc_idf
-    remove_stopwords: bool = False
-    model_size: int = 25
-    store_weights: bool = False
-
-
-@dataclass
 class UserModel:
     user_id: str
     features: list                   # [(feature, weight-or-None)] weight-desc order
@@ -75,7 +47,7 @@ class UserModel:
 
 
 def select_nodes(collection, cfg, now):
-    """Pick the (map_id, node_id) pairs the configuration qualifies.
+    """Pick the (map_id, node_id) pairs an AlgorithmConfig qualifies.
 
     Nodes are ordered by their latest matching event, newest first, with
     (map_id, node_id) as the tie break, then truncated to node_limit.
@@ -186,12 +158,12 @@ def combine_node_weights(scores, combiner):
 
 
 def weigh_nodes(collection, selection, cfg):
-    """Apply NodeWeightConfig to a selection; None config weights all 1."""
+    """(map_id, node_id, weight) per selected node; every weight is 1
+    unless cfg.node_weighting."""
+    if not cfg.node_weighting:
+        return [(map_id, node_id, 1.0) for map_id, node_id in selection]
     weighted = []
     for map_id, node_id in selection:
-        if cfg is None:
-            weighted.append((map_id, node_id, 1.0))
-            continue
         latest = collection.latest(map_id)
         stats = (node_depth(latest, node_id),) + node_stats(latest, node_id)
         scores = [node_weight(stats, m, cfg.transform, cfg.direction) for m in cfg.metrics]

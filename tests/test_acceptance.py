@@ -19,9 +19,9 @@ from mindrec.evaluation import (
     offline_evaluate_user,
     online_metrics,
 )
+from mindrec.experiment import AlgorithmConfig
 from mindrec.matching import dispatch, select_and_shuffle
 from mindrec.usermodel import (
-    FeatureConfig,
     build_user_model,
     node_weight,
     weight_features,
@@ -226,9 +226,9 @@ def test_tf_iduf_laws():
 
     rng = random.Random(6)
     features = [(f"t{i}", rng.uniform(0.1, 9.0)) for i in range(60)]
-    cfg = FeatureConfig(feature_type="terms", scheme="tf_only",
-                        remove_stopwords=False, model_size=20,
-                        store_weights=False)
+    cfg = AlgorithmConfig(feature_type="terms", scheme="tf_only",
+                          remove_stopwords=False, model_size=20,
+                          store_weights=False)
     base = build_user_model(features, cfg, "u")
     scaled = build_user_model([(f, w * 123.0) for f, w in features], cfg, "u")
     assert base.features == scaled.features

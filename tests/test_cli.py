@@ -256,6 +256,21 @@ class TestRecommendCommand:
         assert not out.exists()
 
 
+class TestAlgorithmLabel:
+    def test_config_without_preset_is_custom(self, tmp_path):
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        config = tmp_path / "one_map.cfg"
+        config.write_text("map_limit = 1\n")
+        common = ["--corpus", corpus_path, "--mindmaps", maps_dir, "--seed", 1,
+                  "--now", now, "--config", config]
+        assert run(["recommend", *common, "--user", "user01", "--p-stereotype", 0,
+                    "--out", tmp_path / "rec.csv"]) == 0
+        assert run(["offline-eval", *common, "--out", tmp_path / "offline.csv"]) == 0
+        for name in ("rec.csv", "offline.csv"):
+            rows = list(csv.DictReader((tmp_path / name).read_text().splitlines()))
+            assert rows and {r["algorithm"] for r in rows} == {"custom"}, name
+
+
 class TestOfflineEvalCommand:
     def test_matches_per_user_calls(self, tmp_path):
         corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=5)
@@ -306,6 +321,21 @@ class TestOfflineEvalCommand:
         assert err.startswith(f"error: {config}: ")
         assert "Traceback" not in err
 
+
+    @pytest.mark.parametrize("source", ["--config", "--space"])
+    @pytest.mark.parametrize("key, value", [
+        ("map_limit", "-1"), ("node_limit", "-1"), ("day_window", "-5"), ("node_limit", "0"),
+    ])
+    def test_limit_below_one_rejected(self, tmp_path, capsys, source, key, value):
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        path = tmp_path / "limits.txt"
+        path.write_text(f"node_limit = 5\n{key} = {value}\n")
+        assert run(["offline-eval", "--corpus", corpus_path, "--mindmaps", maps_dir,
+                    "--seed", 3, "--now", now, source, path,
+                    "--out", tmp_path / "o.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {key}: ") and "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("pair", [
         ("--preset", "all_maps_all_terms", "--config", "typo.cfg"),
@@ -479,7 +509,10 @@ class TestIngestCommands:
         ("m__revx.mm", b'<map><node ID="a"/></map>'),
         ("broken.mm", b"<map>\n"),
         ("events.csv", b"map_id,node_id,kind,at\nm,n,created,x\n"),
-    ], ids=["non_numeric_revision", "unclosed_map", "bad_sidecar_row"])
+        ("m.mm", b'<map><node ID="a" CREATED="inf"/></map>'),
+        ("m.mm", b'<map><node ID="a"><node ID="b" MODIFIED="1e999"/></node></map>'),
+    ], ids=["non_numeric_revision", "unclosed_map", "bad_sidecar_row",
+            "infinite_created", "overflowing_modified"])
     def test_bad_map_file_named(self, tmp_path, capsys, name, data):
         _, maps_dir, _ = write_cli_fixture(tmp_path, n_users=2)
         bad = maps_dir / "user01" / name
@@ -488,3 +521,12 @@ class TestIngestCommands:
             cli.load_user_collections(maps_dir)
         assert run(["ingest-mindmaps", "--mindmaps", maps_dir]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    def test_clashing_revision_numbers_named(self, tmp_path, capsys):
+        _, maps_dir, _ = write_cli_fixture(tmp_path, n_users=2)
+        user_dir = maps_dir / "user01"
+        for name in ("clash.mm", "clash__rev1.mm"):
+            (user_dir / name).write_bytes(b'<map><node ID="a"/></map>')
+        assert run(["ingest-mindmaps", "--mindmaps", maps_dir]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {user_dir}: map 'clash': revision 1 after 1")

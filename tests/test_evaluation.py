@@ -16,7 +16,7 @@ from mindrec.evaluation import (
 )
 from mindrec.experiment import AlgorithmConfig
 from mindrec.mindmap import MindMap, MindMapCollection
-from mindrec.usermodel import DAY_MS, FeatureConfig, SelectionConfig
+from mindrec.usermodel import DAY_MS
 
 from conftest import node, single_map_collection
 
@@ -48,12 +48,8 @@ def simple_config(**feature_kw):
     features = dict(feature_type="terms", scheme="tf_only",
                     remove_stopwords=False, model_size=50, store_weights=True)
     features.update(feature_kw)
-    return AlgorithmConfig(
-        selection=SelectionConfig(node_limit=1000, event_kind="any",
-                                  visibility="all"),
-        node_weighting=None,
-        features=FeatureConfig(**features),
-    )
+    return AlgorithmConfig(node_limit=1000, event_kind="any", visibility="all",
+                           **features)
 
 
 def user_with_citation(link_title, texts, now):

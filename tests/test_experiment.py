@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,9 @@ import mindrec
 from mindrec.errors import InvalidConfig, UnknownPreset
 from mindrec.experiment import (
     DEFAULT_SPACE,
+    PARSERS,
     PRESET_NAMES,
+    AlgorithmConfig,
     build_model,
     parse_config,
     parse_space,
@@ -26,29 +29,29 @@ from conftest import scripted_collection, small_corpus
 class TestPresets:
     def test_last_node_baseline(self):
         cfg = preset("mindmeister_last_node")
-        assert cfg.selection.node_limit == 1
-        assert cfg.selection.event_kind == "any"
-        assert cfg.features.scheme == "tf_only"
-        assert cfg.features.remove_stopwords is False
+        assert cfg.node_limit == 1
+        assert cfg.event_kind == "any"
+        assert cfg.scheme == "tf_only"
+        assert cfg.remove_stopwords is False
 
     def test_current_map_baseline(self):
         cfg = preset("current_map_all_terms")
-        assert cfg.selection.map_limit == 1
-        assert cfg.features.feature_type == "terms"
+        assert cfg.map_limit == 1
+        assert cfg.feature_type == "terms"
 
     def test_all_maps_baseline(self):
         cfg = preset("all_maps_all_terms")
-        assert cfg.selection.node_limit is None
-        assert cfg.features.scheme == "tf_only"
+        assert cfg.node_limit is None
+        assert cfg.scheme == "tf_only"
 
     def test_combined(self):
         cfg = preset("docear_combined")
-        assert cfg.features.model_size == 35
-        assert cfg.selection.day_window == 90
-        assert cfg.selection.event_kind == "moved"
-        assert cfg.selection.extension == frozenset({"children", "siblings"})
-        assert cfg.node_weighting.metrics == ("depth", "siblings")
-        assert cfg.node_weighting.transform == "ln"
+        assert cfg.model_size == 35
+        assert cfg.day_window == 90
+        assert cfg.event_kind == "moved"
+        assert cfg.extension == frozenset({"children", "siblings"})
+        assert cfg.metrics == ("depth", "siblings")
+        assert cfg.transform == "ln"
 
     def test_stereotype_flag(self):
         assert preset("stereotype").preset_name == "stereotype"
@@ -70,7 +73,7 @@ class TestRandomConfig:
         a = random_config(space, random.Random(0))
         b = random_config(space, random.Random(123))
         assert a == b
-        assert a.selection.node_limit == 50
+        assert a.node_limit == 50
 
     def test_seed_determinism(self):
         a = random_config(DEFAULT_SPACE, random.Random(77))
@@ -82,8 +85,7 @@ class TestRandomConfig:
         for _ in range(500):
             cfg = random_config(DEFAULT_SPACE, rng)
             cfg.validate()
-            limits = (cfg.selection.map_limit, cfg.selection.node_limit,
-                      cfg.selection.day_window)
+            limits = (cfg.map_limit, cfg.node_limit, cfg.day_window)
             assert any(v is not None for v in limits)
 
     def test_scheme_uniformity(self):
@@ -93,7 +95,7 @@ class TestRandomConfig:
         # four candidates pre-repair; repair keeps tf_* unchanged
         space["scheme"] = ["tf_only", "tf_idf", "tf_iduf"]
         rng = random.Random(11)
-        counts = Counter(random_config(space, rng).features.scheme
+        counts = Counter(random_config(space, rng).scheme
                          for _ in range(9000))
         for scheme in space["scheme"]:
             assert abs(counts[scheme] / 9000 - 1 / 3) < 0.02
@@ -141,13 +143,13 @@ class TestConfigFile:
 
     def test_bad_choice(self):
         cfg = preset("all_maps_all_terms")
-        cfg.selection.event_kind = "bogus"
+        cfg.event_kind = "bogus"
         with pytest.raises(InvalidConfig, match="event_kind"):
             cfg.validate()
 
     def test_scheme_must_fit_feature_type(self):
         cfg = preset("all_maps_all_terms")
-        cfg.features.scheme = "cc_idf"
+        cfg.scheme = "cc_idf"
         with pytest.raises(InvalidConfig, match="scheme"):
             cfg.validate()
 
@@ -155,7 +157,7 @@ class TestConfigFile:
         code = (
             "from mindrec.experiment import preset\n"
             "cfg = preset('all_maps_all_terms')\n"
-            "cfg.features.feature_type = 'citations'\n"
+            "cfg.feature_type = 'citations'\n"
             "try:\n"
             "    cfg.validate()\n"
             "except ValueError:\n"
@@ -166,3 +168,35 @@ class TestConfigFile:
         done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout) == (0, "rejected\n"), done.stderr
+
+
+class TestSchema:
+    def test_fields_are_config_keys(self):
+        assert [f.name for f in fields(AlgorithmConfig)] == list(PARSERS)
+
+    def test_draws_and_presets_round_trip(self):
+        rng = random.Random(17)
+        configs = [random_config(DEFAULT_SPACE, rng) for _ in range(500)]
+        configs += [preset(name) for name in PRESET_NAMES]
+        for cfg in configs:
+            assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_switched_off_weighting_keeps_its_keys(self):
+        cfg = parse_config("node_limit = 1\nmetrics = children\ncombiner = max\n")
+        assert (cfg.node_weighting, cfg.metrics, cfg.combiner) == (False, ("children",), "max")
+
+    def test_algorithm_label(self):
+        assert AlgorithmConfig(map_limit=1).algorithm == "custom"
+        assert preset("docear_combined").algorithm == "docear_combined"
+
+    @pytest.mark.parametrize("key", ["map_limit", "node_limit", "day_window", "model_size"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_limit_below_one_rejected(self, key, value):
+        with pytest.raises(InvalidConfig, match=f"^{key}: "):
+            parse_config(f"node_limit = 5\n{key} = {value}\n")
+        with pytest.raises(InvalidConfig, match=f"^{key}: "):
+            parse_space(f"{key} = 5, {value}\n")
+        cfg = AlgorithmConfig(node_limit=5)
+        setattr(cfg, key, value)
+        with pytest.raises(InvalidConfig, match=f"^{key}: "):
+            cfg.validate()

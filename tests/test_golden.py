@@ -92,7 +92,7 @@ def _pools_repr(inputs):
     collections = cli.load_user_collections(str(inputs / "mindmaps"))
     corpus.freeze(collections)
     config = experiment.preset("docear_combined")
-    config.features.store_weights = True
+    config.store_weights = True
     pools = []
     for user_id in random.Random("golden:pools").sample(sorted(collections), N_POOL_USERS):
         try:

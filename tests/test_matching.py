@@ -66,6 +66,11 @@ class TestSelectAndShuffle:
         with pytest.raises(EmptyPool):
             select_and_shuffle([], k=10, rng=random.Random(0))
 
+    def test_generator_required(self):
+        # no unseeded fallback: every delivered set comes from a given seed
+        with pytest.raises(TypeError):
+            select_and_shuffle(self._pool(), k=10)
+
     def test_selection_uniformity(self):
         rng = random.Random(1234)
         counts = {i: 0 for i in range(50)}

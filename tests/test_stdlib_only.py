@@ -1,0 +1,29 @@
+"""The runtime stays pure standard library: every import in the package
+is of mindrec itself or of a standard-library module."""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mindrec"
+
+
+def imported_modules(path):
+    """(line, top-level module name) of every import in one source file;
+    relative imports read as mindrec."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            name = "mindrec" if node.level else node.module.partition(".")[0]
+            yield node.lineno, name
+
+
+def test_package_imports_only_stdlib():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    foreign = [f"{path.name}:{line}: {name}"
+               for path in sources for line, name in imported_modules(path)
+               if name != "mindrec" and name not in sys.stdlib_module_names]
+    assert foreign == []

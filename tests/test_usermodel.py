@@ -9,12 +9,10 @@ from mindrec.errors import (
     EmptyScores,
     NoPositiveFeatures,
 )
-from mindrec.experiment import build_model, docear_combined_model, preset
+from mindrec.experiment import AlgorithmConfig, build_model, docear_combined_model, preset
 from mindrec.mindmap import MindMap, MindMapCollection, NodeEvent, is_visible
 from mindrec.usermodel import (
     DAY_MS,
-    FeatureConfig,
-    SelectionConfig,
     build_user_model,
     combine_node_weights,
     extend_selection,
@@ -68,33 +66,33 @@ class TestSelectNodes:
         return single_map_collection("u", root, events=events)
 
     def test_limit_above_population(self):
-        got = select_nodes(self._tiny(), SelectionConfig(node_limit=10), now=1000)
+        got = select_nodes(self._tiny(), AlgorithmConfig(node_limit=10), now=1000)
         assert got == [("m1", "b"), ("m1", "a"), ("m1", "r")]
 
     def test_kind_filter_eliminates_all(self):
         got = select_nodes(self._tiny(),
-                           SelectionConfig(node_limit=10, event_kind="moved"),
+                           AlgorithmConfig(node_limit=10, event_kind="moved"),
                            now=1000)
         assert got == []
 
     def test_empty_collection(self):
         with pytest.raises(EmptyCollection):
             select_nodes(MindMapCollection("u", []),
-                         SelectionConfig(node_limit=1), now=0)
+                         AlgorithmConfig(node_limit=1), now=0)
 
     def test_day_window(self):
         collection = self._tiny()
         now = 300 + 2 * DAY_MS
-        cfg = SelectionConfig(node_limit=10, day_window=2)
+        cfg = AlgorithmConfig(node_limit=10, day_window=2)
         # only events at >= now - 2 days = 300 qualify
         assert select_nodes(collection, cfg, now) == [("m1", "b")]
 
     @pytest.mark.parametrize("cfg", [
-        SelectionConfig(node_limit=75, day_window=90, event_kind="moved",
+        AlgorithmConfig(node_limit=75, day_window=90, event_kind="moved",
                         visibility="visible_only"),
-        SelectionConfig(node_limit=30, event_kind="edited"),
-        SelectionConfig(map_limit=2, node_limit=50, event_kind="any"),
-        SelectionConfig(day_window=200, visibility="invisible_only"),
+        AlgorithmConfig(node_limit=30, event_kind="edited"),
+        AlgorithmConfig(map_limit=2, node_limit=50, event_kind="any"),
+        AlgorithmConfig(day_window=200, visibility="invisible_only"),
     ])
     def test_matches_brute_force_oracle(self, cfg):
         collection, now = scripted_collection()
@@ -138,7 +136,7 @@ class TestExtendSelection:
 
     def test_superset_property(self):
         collection, now = scripted_collection(n_nodes=60, seed=5)
-        selection = select_nodes(collection, SelectionConfig(node_limit=10), now)
+        selection = select_nodes(collection, AlgorithmConfig(node_limit=10), now)
         got = extend_selection(collection, selection,
                                frozenset({"children", "siblings", "parents"}))
         assert set(got) >= set(selection)
@@ -265,7 +263,7 @@ class TestBuildUserModel:
         defaults = dict(feature_type="terms", scheme="tf_only",
                         remove_stopwords=False, model_size=35, store_weights=True)
         defaults.update(kw)
-        return FeatureConfig(**defaults)
+        return AlgorithmConfig(**defaults)
 
     def test_top_k_sort_oracle(self):
         rng = random.Random(2)
@@ -303,11 +301,11 @@ def combined_oracle(collection, now):
     from mindrec.mindmap import node_depth, node_stats
     from mindrec.text import tokenize
 
-    cfg = SelectionConfig(node_limit=75, day_window=90, event_kind="moved",
+    cfg = AlgorithmConfig(node_limit=75, day_window=90, event_kind="moved",
                           visibility="visible_only")
     selection = selection_oracle(collection, cfg, now)
     if len(selection) < 75:
-        cfg = SelectionConfig(node_limit=75, day_window=90, event_kind="any",
+        cfg = AlgorithmConfig(node_limit=75, day_window=90, event_kind="any",
                               visibility="visible_only")
         selection = selection_oracle(collection, cfg, now)
 
