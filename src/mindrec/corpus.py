@@ -25,6 +25,16 @@ def is_citation_feature(feature):
     return feature.startswith(CITATION_PREFIX)
 
 
+def document_id(ordinal):
+    """The id of the document minted `ordinal`-th, counting from 0."""
+    return f"doc_{ordinal + 1}"
+
+
+def _ordinal(doc_id):
+    """The inverse of `document_id`."""
+    return int(doc_id[4:]) - 1
+
+
 def cleantitle(title):
     """Lowercase a-z-only normalization used for document disambiguation.
 
@@ -53,13 +63,17 @@ class Corpus:
     unseen title, and `freeze` mints one for every title the users' maps
     cite.  Each minted document counts toward N in idf = ln(N/df).  After
     `freeze` the query path only reads: `lookup` of an unseen title raises.
+
+    Postings are keyed by a document's ordinal, its 0-based mint position
+    (`document_id(ordinal)` is its id), so that `rank` can add scores into
+    a list indexed by ordinal.
     """
 
     def __init__(self):
         self.documents = {}
         self.cleantitle_index = {}
-        self.term_index = {}      # term -> {doc_id: tf}
-        self.citation_index = {}  # cited doc_id -> {citing doc_id: 1}
+        self.term_index = {}      # term -> {ordinal: tf}
+        self.citation_index = {}  # cited doc_id -> {citing ordinal: 1}
 
     def __len__(self):
         return len(self.documents)
@@ -70,7 +84,7 @@ class Corpus:
         doc_id = self.cleantitle_index.get(key)
         if doc_id is not None:
             return doc_id
-        doc_id = f"doc_{len(self.documents) + 1}"
+        doc_id = document_id(len(self.documents))
         self.documents[doc_id] = Document(doc_id, reference, key)
         self.cleantitle_index[key] = doc_id
         return doc_id
@@ -98,6 +112,7 @@ class Corpus:
         if not title:
             raise EmptyTitle("document title must be non-empty")
         doc_id = self.resolve_citation(title)
+        ordinal = _ordinal(doc_id)   # one int object shared by every posting
         doc = self.documents[doc_id]
         doc.title = title
 
@@ -108,13 +123,13 @@ class Corpus:
         doc.terms.update(new_terms)
         for term, n in new_terms.items():
             postings = self.term_index.setdefault(term, {})
-            postings[doc_id] = postings.get(doc_id, 0) + n
+            postings[ordinal] = postings.get(ordinal, 0) + n
 
         for reference in citations:
             cited = self.resolve_citation(reference)
             if cited not in doc.cited_ids:
                 doc.cited_ids.append(cited)
-                self.citation_index.setdefault(cited, {})[doc_id] = 1
+                self.citation_index.setdefault(cited, {})[ordinal] = 1
         return doc_id
 
     def _postings(self, feature):
@@ -136,22 +151,25 @@ class Corpus:
         `features`: a list of (feature, weight) pairs.  Returns
         [(doc_id, score)] sorted score-descending, ties by doc_id;
         zero-scoring documents are excluded.  With `top`, only the first
-        `top` of that list, picked with a heap: the same floats in the
-        same order as a full sort.
+        `top` of that list: the documents scoring at least the `top`-th
+        largest score are sorted, which gives the same floats in the same
+        order as a full sort.
         """
         if not features:
             raise EmptyQuery("query has no features")
-        scores = {}
-        get = scores.get
+        scores = [0.0] * len(self.documents)
         for feature, q_weight in features:
             idf = self.idf(feature)
             if idf == 0.0:
                 continue
-            for doc_id, tf in self._postings(feature).items():
-                scores[doc_id] = get(doc_id, 0.0) + q_weight * tf * idf
-        keyed = ((-s, doc_id) for doc_id, s in scores.items() if s != 0.0)
-        ranked = sorted(keyed) if top is None else heapq.nsmallest(top, keyed)
-        return [(doc_id, -s) for s, doc_id in ranked]
+            for i, tf in self._postings(feature).items():
+                scores[i] += q_weight * tf * idf
+        cut = heapq.nlargest(top, scores)[-1] if top and top < len(scores) else 0.0
+        if cut <= 0.0:   # a negative score can make the top: keep every non-zero one
+            cut = -math.inf
+        ranked = sorted((-score, document_id(i))
+                        for i, score in enumerate(scores) if score >= cut and score)
+        return [(doc_id, -score) for score, doc_id in ranked[:top]]
 
     def score_query(self, features):
         """The full ranking: `rank(features)`."""

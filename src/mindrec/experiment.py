@@ -302,7 +302,9 @@ def parse_config(text):
 def parse_space(text):
     """Variable-space file: `key = v1, v2, ...` per drawable field.
 
-    Unlisted fields keep their DEFAULT_SPACE candidates.
+    Unlisted fields keep their DEFAULT_SPACE candidates.  A space from
+    which random_config could draw an invalid configuration raises
+    InvalidConfig.
     """
     space = dict(DEFAULT_SPACE)
     for number, key, raw in _lines(text):
@@ -310,4 +312,11 @@ def parse_space(text):
             raise InvalidConfig(f"line {number}: unknown variable {key!r}")
         config_key = "node_weighting" if key == "use_node_weighting" else key
         space[key] = [_parse(config_key, v.strip()) for v in raw.split(",")]
+    if None in space["map_limit"] and None in space["day_window"] \
+            and all(v is None for v in space["node_limit"]):
+        raise InvalidConfig("node_limit: needs a candidate other than none when "
+                            "map_limit and day_window can both draw none")
+    if True in space["use_node_weighting"] and () in space["metrics"]:
+        raise InvalidConfig("metrics: none is a candidate, but use_node_weighting "
+                            "can draw true, which needs at least one metric")
     return space

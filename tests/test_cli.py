@@ -337,6 +337,24 @@ class TestOfflineEvalCommand:
         assert err.startswith(f"error: {path}: {key}: ") and "Traceback" not in err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("text, key", [
+        ("map_limit = none\nnode_limit = none\nday_window = none\n", "node_limit"),
+        ("map_limit = none, 1\nnode_limit = none\nday_window = 7, none\n", "node_limit"),
+        ("use_node_weighting = true\nmetrics = none\n", "metrics"),
+        ("use_node_weighting = false, true\nmetrics = depth, none\n", "metrics"),
+    ], ids=["no_bound_only", "no_bound_possible", "weighting_no_metrics",
+            "weighting_may_draw_no_metrics"])
+    def test_space_that_can_draw_an_invalid_config_rejected(self, tmp_path, capsys, text, key):
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        space = tmp_path / "space.txt"
+        space.write_text(text)
+        assert run(["offline-eval", "--corpus", corpus_path, "--mindmaps", maps_dir,
+                    "--seed", 3, "--now", now, "--space", space,
+                    "--out", tmp_path / "o.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {space}: {key}: ") and "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("pair", [
         ("--preset", "all_maps_all_terms", "--config", "typo.cfg"),
         ("--preset", "docear_combined", "--space", "s.txt"),

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from mindrec.corpus import Corpus, citation_feature, cleantitle, load_corpus_jsonl
+from mindrec.corpus import Corpus, citation_feature, cleantitle, document_id, load_corpus_jsonl
 from mindrec.errors import EmptyQuery, EmptyTitle, MalformedRow, MindrecError
 from mindrec.usermodel import extract_features
 
@@ -63,7 +63,9 @@ class TestResolveIngest:
         a = corpus.ingest_document("Paper Alpha Topic")
         b = corpus.ingest_document("Paper Beta Topic", citations=["Paper Alpha Topic"])
         assert corpus.documents[b].cited_ids == [a]
-        assert corpus.citation_index[a] == {b: 1}
+        # postings are keyed by the citing document's ordinal
+        assert corpus.citation_index[a] == {list(corpus.documents).index(b): 1}
+        assert [document_id(i) for i in corpus.citation_index[a]] == [b]
 
     def test_ingest_duplicate_title_merges(self):
         corpus = Corpus()
@@ -106,8 +108,11 @@ class TestResolveIngest:
 
     def test_posting_sums_match_bags(self):
         corpus = Corpus()
+        corpus.ingest_document("other paper", body_terms=["alpha"])
         doc = corpus.ingest_document("alpha beta", body_terms=["alpha", "alpha"])
-        total = sum(postings.get(doc, 0) for postings in corpus.term_index.values())
+        ordinal = list(corpus.documents).index(doc)
+        assert document_id(ordinal) == doc
+        total = sum(postings.get(ordinal, 0) for postings in corpus.term_index.values())
         assert total == sum(corpus.documents[doc].terms.values())
 
 
@@ -235,17 +240,22 @@ class TestScoreQuery:
 
 
 class TestRank:
+    @staticmethod
+    def _random_corpus(rng):
+        corpus = Corpus()
+        for i in range(rng.randint(2, 30)):
+            terms = [rng.choice(WORDS[:8]) for _ in range(rng.randint(1, 5))]
+            cites = []
+            if corpus.documents and rng.random() < 0.4:
+                cites = [corpus.documents[rng.choice(sorted(corpus.documents))].title]
+            corpus.ingest_document(f"title {i} {rng.choice(WORDS)}",
+                                   body_terms=terms, citations=cites)
+        return corpus
+
     def test_top_k_is_prefix_of_full_ranking(self):
         rng = random.Random(23)
         for _ in range(200):
-            corpus = Corpus()
-            for i in range(rng.randint(2, 30)):
-                terms = [rng.choice(WORDS[:8]) for _ in range(rng.randint(1, 5))]
-                cites = []
-                if corpus.documents and rng.random() < 0.4:
-                    cites = [corpus.documents[rng.choice(sorted(corpus.documents))].title]
-                corpus.ingest_document(f"title {i} {rng.choice(WORDS)}",
-                                       body_terms=terms, citations=cites)
+            corpus = self._random_corpus(rng)
             query = [(rng.choice(WORDS[:8]), rng.choice([1.0, 2.0, rng.random()]))
                      for _ in range(rng.randint(1, 5))]
             if corpus.citation_index and rng.random() < 0.5:
@@ -274,6 +284,52 @@ class TestRank:
                                         *(f"doc_{i}" for i in range(2, 10))]
         for top in range(1, 14):
             assert corpus.rank([("aa", 1.0)], top=top) == full[:top]
+
+    def test_negative_and_cancelling_weights_match_brute_force(self):
+        # The "cancel" and "single x/y" documents make df(xx) == df(yy), so
+        # the pair (xx, w), (yy, -w) sums "cancel"'s score to exactly 0.0.
+        rng = random.Random(29)
+        cuts_at_or_below_zero = 0
+        for _ in range(200):
+            corpus = self._random_corpus(rng)
+            corpus.ingest_document("cancel paper", body_terms=["xx", "yy"])
+            for k in range(rng.randint(0, 3)):
+                corpus.ingest_document(f"single x {'q' * (k + 2)}", body_terms=["xx"])
+                corpus.ingest_document(f"single y {'q' * (k + 2)}", body_terms=["yy"])
+            w = rng.choice([1.0, 2.0, rng.random()])
+            query = [(rng.choice(WORDS[:8]), rng.choice([-1.0, -2.5, rng.uniform(-1, 1)]))
+                     for _ in range(rng.randint(1, 4))]
+            query[rng.randint(0, len(query)):0] = [("xx", w), ("yy", -w)]
+            expected = brute_force_scores(corpus, query)
+            assert corpus.lookup("cancel paper") not in dict(expected)
+            n = len(expected)
+            assert corpus.rank(query) == expected
+            for top in (1, 2, n - 1, n, n + 1, n + 7, 1000):
+                if top >= 1:
+                    assert corpus.rank(query, top=top) == expected[:top]
+                    cuts_at_or_below_zero += n > 0 and expected[min(top, n) - 1][1] <= 0.0
+        assert cuts_at_or_below_zero > 100
+
+    def test_ties_across_the_cut_break_by_doc_id_string(self):
+        # tf 1 on three words and weights 1 or 2: most scores are tied, and
+        # with 12+ documents doc_1x and doc_2 sit in the same tie.
+        rng = random.Random(31)
+        splits_against_ordinal_order = 0
+        for _ in range(100):
+            corpus = Corpus()
+            for i in range(rng.randint(12, 30)):
+                corpus.ingest_document(f"paper {'x' * (i + 2)}",
+                                       body_terms=rng.sample(WORDS[:3], rng.randint(1, 2)))
+            ordinal = {doc_id: i for i, doc_id in enumerate(corpus.documents)}
+            query = [(w, rng.choice([1.0, 2.0])) for w in rng.sample(WORDS[:3], rng.randint(1, 3))]
+            expected = brute_force_scores(corpus, query)
+            for top in range(1, len(expected) + 2):
+                assert corpus.rank(query, top=top) == expected[:top]
+                if top < len(expected):
+                    (last, score), (first_out, next_score) = expected[top - 1], expected[top]
+                    splits_against_ordinal_order += (
+                        score == next_score and ordinal[first_out] < ordinal[last])
+        assert splits_against_ordinal_order > 100
 
     def test_empty_query_with_top(self):
         with pytest.raises(EmptyQuery):

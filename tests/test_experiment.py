@@ -128,6 +128,17 @@ class TestSpaceFile:
         with pytest.raises(InvalidConfig, match="bogus"):
             parse_space("scheme = tf_only, bogus\n")
 
+    @pytest.mark.parametrize("text", [
+        "map_limit = none\nnode_limit = none\nday_window = 7\n",
+        "map_limit = none\nnode_limit = none, 5\nday_window = none\n",
+        "use_node_weighting = false\nmetrics = none\n",
+    ])
+    def test_none_candidates_that_always_draw_a_valid_config(self, text):
+        space = parse_space(text)
+        rng = random.Random(5)
+        for _ in range(50):
+            random_config(space, rng)
+
 
 class TestConfigFile:
     def test_combined_fields_are_honoured(self):
