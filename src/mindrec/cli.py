@@ -69,21 +69,33 @@ def replay_event_log(path):
     """Parse + validate an event CSV (`set_id,doc_id,user_id,kind,at`).
 
     Non-shown events must have a shown event for the same (set_id,
-    doc_id) at an earlier-or-equal timestamp.  Returns events sorted by
-    timestamp (shown first on ties).
+    doc_id) at an earlier-or-equal timestamp, and every row of a shown
+    (set_id, doc_id) must name the user it was shown to.  Returns events
+    sorted by timestamp (shown first on ties), each (set_id, doc_id,
+    kind) once: its first row in that order.
     """
     events = read_csv(path, _rec_event)
     ordered = sorted(events, key=lambda event: (event.at, event.kind != "shown"))
-    shown = set()
+
+    def violation(event, problem):
+        index = next(i for i, other in enumerate(events) if other is event)
+        return InvariantViolation(f"{path}: row {csv_row_of(path, index)}: "
+                                  f"{event.kind!r} {problem}")
+
+    seen = {}  # (set_id, doc_id, kind) -> user_id of its first row
+    replayed = []
     for event in ordered:
-        key = (event.set_id, event.doc_id)
-        if event.kind == "shown":
-            shown.add(key)
-        elif key not in shown:
-            index = next(i for i, other in enumerate(events) if other is event)
-            raise InvariantViolation(f"{path}: row {csv_row_of(path, index)}: "
-                                     f"{event.kind!r} without prior shown for {key}")
-    return ordered
+        shown_to = seen.get((event.set_id, event.doc_id, "shown"))
+        if shown_to is None and event.kind != "shown":
+            raise violation(event, f"without prior shown for {(event.set_id, event.doc_id)}")
+        if shown_to not in (None, event.user_id):
+            raise violation(event, f"by user {event.user_id!r}, but "
+                                   f"{(event.set_id, event.doc_id)} was shown to {shown_to!r}")
+        key = (event.set_id, event.doc_id, event.kind)
+        if key not in seen:
+            seen[key] = event.user_id
+            replayed.append(event)
+    return replayed
 
 
 def _rec_event(row):

@@ -75,10 +75,6 @@ class NoImpressions(MindrecError):
     pass
 
 
-class DegenerateSeries(MindrecError):
-    pass
-
-
 # experiment / storage
 
 class UnknownPreset(MindrecError):

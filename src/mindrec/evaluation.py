@@ -2,16 +2,9 @@
 metric suite computed from recommendation event logs."""
 
 import math
-import statistics
 from dataclasses import dataclass
 
-from .errors import (
-    DegenerateSeries,
-    EmptyCollection,
-    NoCitations,
-    NoImpressions,
-    NoPositiveFeatures,
-)
+from .errors import EmptyCollection, NoCitations, NoImpressions, NoPositiveFeatures
 from .experiment import build_model
 from .matching import retrieve_candidates
 from .mindmap import MindMapCollection, copy_mindmap
@@ -19,7 +12,7 @@ from .mindmap import MindMapCollection, copy_mindmap
 REC_EVENT_KINDS = ("shown", "clicked", "linked", "annotated", "cited")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RecEvent:
     set_id: str
     doc_id: str
@@ -28,7 +21,7 @@ class RecEvent:
     at: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SetRating:
     set_id: str
     user_id: str
@@ -142,63 +135,16 @@ def offline_evaluate_user(collection, corpus, config):
     )
 
 
-def _dedupe(events):
-    seen = set()
-    unique = []
-    for event in events:
-        key = (event.set_id, event.doc_id, event.kind)
-        if key not in seen:
-            seen.add(key)
-            unique.append(event)
-    return unique
-
-
-def _rates(events, ratings):
-    counts = {kind: sum(1 for e in events if e.kind == kind)
-              for kind in REC_EVENT_KINDS}
-    n_shown = counts["shown"]
-    if not n_shown:
-        raise NoImpressions("no shown events")
-
-    per_set = {}
-    per_user = {}
-    for e in events:
-        if e.kind not in ("shown", "clicked"):
-            continue
-        per_set.setdefault(e.set_id, [0, 0])
-        per_user.setdefault(e.user_id, [0, 0])
-        slot = 0 if e.kind == "shown" else 1
-        per_set[e.set_id][slot] += 1
-        per_user[e.user_id][slot] += 1
-
-    set_ctrs = [c / s for s, c in per_set.values() if s]
-    user_ctrs = [c / s for s, c in per_user.values() if s]
-
-    rows = [
-        ("ctr", counts["clicked"] / n_shown, n_shown),
-        ("ctr_set", sum(set_ctrs) / len(set_ctrs), len(set_ctrs)),
-        ("ctr_user", sum(user_ctrs) / len(user_ctrs), len(user_ctrs)),
-        ("ltr", counts["linked"] / n_shown, n_shown),
-        ("atr", counts["annotated"] / n_shown, n_shown),
-        ("citr", counts["cited"] / n_shown, n_shown),
-    ]
-    if ratings:
-        rows.append(("mean_rating",
-                     sum(r.rating for r in ratings) / len(ratings), len(ratings)))
-    return rows
-
-
 def online_metrics(events, ratings=(), group_by=None, set_attrs=None):
     """CTR family, link/annotate/cite-through rates, and mean rating.
 
-    Each (set_id, doc_id, kind) is counted at most once.  `group_by`:
-    None for one overall group, "user_id", or an attribute key looked up
-    in `set_attrs` (set_id -> {key: value}); a group is the text of the
-    value, "unknown" for a set not in `set_attrs`.  Returns
-    [(group, metric, value, n)] rows.
+    `events` is a replayed log (`cli.replay_event_log`): each (set_id,
+    doc_id, kind) once, and every click after its set's shown row for the
+    same user.  `group_by`: None for one overall group, "user_id", or an
+    attribute key looked up in `set_attrs` (set_id -> {key: value}); a
+    group is the text of the value, "unknown" for a set not in
+    `set_attrs`.  Returns [(group, metric, value, n)] rows.
     """
-    events = _dedupe(events)
-
     def group_of(record):
         """Group of an event or a rating; both carry user_id and set_id."""
         if group_by is None:
@@ -207,60 +153,72 @@ def online_metrics(events, ratings=(), group_by=None, set_attrs=None):
             return record.user_id
         return str((set_attrs or {}).get(record.set_id, {}).get(group_by, "unknown"))
 
-    grouped_events = {}
+    # group -> ({kind: count}, {set_id: [shown, clicked]}, {user_id: [shown, clicked]})
+    tallies = {}
     for e in events:
-        grouped_events.setdefault(group_of(e), []).append(e)
-    grouped_ratings = {}
+        group = group_of(e)
+        tally = tallies.get(group)
+        if tally is None:
+            tally = tallies[group] = (dict.fromkeys(REC_EVENT_KINDS, 0), {}, {})
+        kinds, per_set, per_user = tally
+        kinds[e.kind] += 1
+        if e.kind in ("shown", "clicked"):
+            slot = 0 if e.kind == "shown" else 1
+            per_set.setdefault(e.set_id, [0, 0])[slot] += 1
+            per_user.setdefault(e.user_id, [0, 0])[slot] += 1
+    rated = {}  # group -> [rating sum, ratings]
     for r in ratings:
-        grouped_ratings.setdefault(group_of(r), []).append(r)
+        total = rated.setdefault(group_of(r), [0, 0])
+        total[0] += r.rating
+        total[1] += 1
 
-    if group_by is None and not grouped_events:
+    if group_by is None and not tallies:
         raise NoImpressions("no shown events")
 
     report = []
-    for group in sorted(grouped_events):
-        for metric, value, n in _rates(grouped_events[group],
-                                       grouped_ratings.get(group, [])):
-            report.append((group, metric, value, n))
+    for group in sorted(tallies):
+        kinds, per_set, per_user = tallies[group]
+        n_shown = kinds["shown"]
+        if not n_shown:
+            raise NoImpressions("no shown events")
+        report += [
+            (group, "ctr", kinds["clicked"] / n_shown, n_shown),
+            (group, "ctr_set", sum(c / s for s, c in per_set.values()) / len(per_set),
+             len(per_set)),
+            (group, "ctr_user", sum(c / s for s, c in per_user.values()) / len(per_user),
+             len(per_user)),
+            (group, "ltr", kinds["linked"] / n_shown, n_shown),
+            (group, "atr", kinds["annotated"] / n_shown, n_shown),
+            (group, "citr", kinds["cited"] / n_shown, n_shown),
+        ]
+        if group in rated:
+            rating_sum, n_ratings = rated[group]
+            report.append((group, "mean_rating", rating_sum / n_ratings, n_ratings))
     return report
-
-
-def pearson(x, y):
-    """Sample Pearson correlation of two equal-length series."""
-    if len(x) != len(y) or len(x) < 2:
-        raise DegenerateSeries("series must be equal length >= 2")
-    try:
-        return statistics.correlation(x, y)
-    except statistics.StatisticsError as exc:
-        raise DegenerateSeries(str(exc)) from exc
 
 
 def reiteration_report(events):
     """CTR by how many times an item was re-shown to the same user.
 
-    A click at iteration n is 'oblivious' when the same user already
-    clicked the same item at an earlier iteration.  Returns rows
+    `events` is a replayed log (`cli.replay_event_log`).  A click at
+    iteration n is 'oblivious' when the same user already clicked the
+    same item at an earlier iteration.  Returns rows
     {iteration, shown, clicks, ctr, oblivious, first_clicks, ctr_first}.
     """
-    events = _dedupe(events)
-    showings = {}
-    clicked_sets = {}
+    clicked = {(e.user_id, e.doc_id, e.set_id) for e in events if e.kind == "clicked"}
+    showings = {}  # (user_id, doc_id) -> set_ids in showing order
     for e in sorted(events, key=lambda e: (e.at, e.set_id)):
-        key = (e.user_id, e.doc_id)
         if e.kind == "shown":
-            showings.setdefault(key, []).append(e.set_id)
-        elif e.kind == "clicked":
-            clicked_sets.setdefault(key, set()).add(e.set_id)
+            showings.setdefault((e.user_id, e.doc_id), []).append(e.set_id)
 
     per_iteration = {}
-    for key, sets in showings.items():
-        clicked = clicked_sets.get(key, set())
+    for (user_id, doc_id), sets in showings.items():
         clicked_before = False
         for iteration, set_id in enumerate(sets, start=1):
             row = per_iteration.setdefault(iteration,
                                            {"shown": 0, "clicks": 0, "oblivious": 0})
             row["shown"] += 1
-            if set_id in clicked:
+            if (user_id, doc_id, set_id) in clicked:
                 row["clicks"] += 1
                 if clicked_before:
                     row["oblivious"] += 1

@@ -71,9 +71,7 @@ def derive_seed(global_seed, user_id):
 
 
 def dispatch(collection, corpus, config, stereotype_catalog, rng,
-             p_stereotype=DEFAULT_P_STEREOTYPE, now=0, set_id="",
-             pool_size=DEFAULT_POOL_SIZE, k=DEFAULT_SET_SIZE,
-             label="", trigger="requested"):
+             p_stereotype=DEFAULT_P_STEREOTYPE, now=0, set_id="", label=""):
     """Deliver one recommendation set for a user.
 
     With probability p_stereotype the curated catalog is served instead of
@@ -88,16 +86,16 @@ def dispatch(collection, corpus, config, stereotype_catalog, rng,
     if not use_stereotype:
         try:
             model = build_model(collection, corpus, config, now)
-            pool = retrieve_candidates(corpus, model, pool_size=pool_size)
+            pool = retrieve_candidates(corpus, model)
             if not pool:
                 raise EmptyPool("no candidates for user model")
-            items = select_and_shuffle(pool, k=k, rng=rng)
+            items = select_and_shuffle(pool, rng)
             algorithm = config.algorithm
         except (EmptyCollection, NoPositiveFeatures, EmptyPool):
             pass  # fall back to the stereotype catalog
     if items is None:
         catalog_pool = [(doc_id, 0.0) for doc_id in stereotype_catalog]
-        items = select_and_shuffle(catalog_pool, k=k, rng=rng)
+        items = select_and_shuffle(catalog_pool, rng)
         algorithm = "stereotype"
-    return RecommendationSet(set_id, collection.user_id, now, trigger, label,
+    return RecommendationSet(set_id, collection.user_id, now, "requested", label,
                              algorithm, items)

@@ -183,6 +183,40 @@ class TestReplayEventLog:
         assert [(e.set_id, e.kind, e.at) for e in got] == \
             sorted(((r[0], r[3], r[4]) for r in rows), key=lambda t: t[2])
 
+    def test_duplicate_clicks_count_once(self, tmp_path):
+        p = tmp_path / "e.csv"
+        p.write_text("set_id,doc_id,user_id,kind,at\n"
+                     "s,d,u,shown,0\ns,d,u,clicked,1\ns,d,u,clicked,5\n")
+        got = {m: v for _, m, v, _ in evaluation.online_metrics(cli.replay_event_log(p))}
+        assert got["ctr"] == 1.0
+
+    def test_repeated_shown_keeps_earliest(self, tmp_path):
+        p = tmp_path / "e.csv"
+        p.write_text("set_id,doc_id,user_id,kind,at\n"
+                     "s1,d1,u,shown,5\ns1,d1,u,shown,3\ns1,d1,u,clicked,6\n")
+        assert [(e.kind, e.at) for e in cli.replay_event_log(p)] == \
+            [("shown", 3), ("clicked", 6)]
+        out = tmp_path / "reit.csv"
+        assert run(["reiterate", "--events", p, "--out", out]) == 0
+        [row] = csv.DictReader(open(out))
+        assert (row["iteration"], row["shown"], row["clicks"]) == ("1", "1", "1")
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics"], ["metrics", "--group-by", "user_id"], ["reiterate"],
+        ["export", "--sets", "SETS", "--out", "OUT"],
+    ], ids=["metrics", "metrics_by_user", "reiterate", "export"])
+    def test_click_by_another_user_names_row(self, tmp_path, capsys, argv):
+        p = tmp_path / "e.csv"
+        p.write_text("set_id,doc_id,user_id,kind,at\n"
+                     "s1,d1,u1,shown,1\ns1,d1,u2,clicked,2\n")
+        (tmp_path / "sets.jsonl").write_text(GOOD_SET + "\n")
+        paths = {"SETS": tmp_path / "sets.jsonl", "OUT": tmp_path / "export"}
+        argv = [paths.get(a, a) for a in argv]
+        assert run([*argv, "--events", p]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: row 3: 'clicked' by user 'u2'") and \
+            "'u1'" in err
+
 
 class TestRecommendCommand:
     def test_seed_determinism(self, tmp_path):

@@ -1,17 +1,15 @@
-import math
 import random
 
 import pytest
 
 from mindrec.corpus import Corpus
-from mindrec.errors import DegenerateSeries, NoCitations, NoImpressions
+from mindrec.errors import NoCitations, NoImpressions
 from mindrec.evaluation import (
     RecEvent,
     SetRating,
     compute_ndcg,
     offline_evaluate_user,
     online_metrics,
-    pearson,
     reiteration_report,
 )
 from mindrec.experiment import AlgorithmConfig
@@ -183,11 +181,6 @@ class TestOnlineMetrics:
         # arithmetic mean of per-user CTRs: (0.07 + 0.08 + 0.30) / 3
         assert got[("all", "ctr_user")][0] == pytest.approx(0.15)
 
-    def test_duplicate_clicks_count_once(self):
-        events = [shown("s", "d"), clicked("s", "d"), clicked("s", "d", at=5)]
-        got = metric_map(online_metrics(events))
-        assert got[("all", "ctr")][0] == 1.0
-
     def test_through_rates_and_rating(self):
         events = [shown("s", f"d{i}") for i in range(4)]
         events += [clicked("s", "d0"),
@@ -235,25 +228,6 @@ class TestOnlineMetrics:
             if m != "mean_rating":
                 assert 0.0 <= v <= 1.0
         assert per_set
-
-
-class TestPearson:
-    def test_identity(self):
-        assert pearson([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)
-
-    def test_negation(self):
-        assert pearson([1, 2, 3], [-1, -2, -3]) == pytest.approx(-1.0)
-
-    def test_hand_value(self):
-        # closed form: sum(dx*dy) / sqrt(sum(dx^2) * sum(dy^2)) = 11/sqrt(130)
-        assert pearson([1, 2, 3, 4], [2, 4, 5, 9]) == \
-            pytest.approx(11 / math.sqrt(130))
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateSeries):
-            pearson([1, 1, 1], [1, 2, 3])
-        with pytest.raises(DegenerateSeries):
-            pearson([1], [2])
 
 
 class TestReiteration:
