@@ -134,18 +134,23 @@ def _load_config(args):
     return experiment.preset(args.preset or "docear_combined")
 
 
-def _stereotype_catalog(corpus, path):
+def _stereotype_catalog(corpus, args):
     """The documents the --stereotype file names, one title per line, or
-    else the first 50 document ids."""
-    if not path:
-        return sorted(corpus.documents)[:50]
-    catalog = []
-    for number, title in enumerate(read_text(path).splitlines(), start=1):
-        if title:
-            try:
-                catalog.append(corpus.lookup(title))
-            except UnknownTitle as exc:
-                raise UnknownTitle(f"{path}: line {number}: {exc}") from exc
+    else the first 50 document ids; an empty catalog raises a MindrecError
+    naming the file it came from."""
+    if not args.stereotype:
+        catalog = sorted(corpus.documents)[:50]
+    else:
+        catalog = []
+        for number, title in enumerate(read_text(args.stereotype).splitlines(), start=1):
+            if title:
+                try:
+                    catalog.append(corpus.lookup(title))
+                except UnknownTitle as exc:
+                    raise UnknownTitle(f"{args.stereotype}: line {number}: {exc}") from exc
+    if not catalog:
+        raise MindrecError(f"{args.stereotype or args.corpus}: no document for the "
+                           "stereotype catalog")
     return catalog
 
 
@@ -188,7 +193,7 @@ def cmd_recommend(args):
         raise MindrecError(f"unknown user {args.user!r}")
     corpus.freeze(collections)
     config = _load_config(args)
-    catalog = _stereotype_catalog(corpus, args.stereotype)
+    catalog = _stereotype_catalog(corpus, args)
     rng = random.Random(matching.derive_seed(args.seed, args.user))
     rec_set = matching.dispatch(
         collections[args.user], corpus, config, catalog, rng,

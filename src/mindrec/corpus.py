@@ -10,7 +10,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import EmptyQuery, EmptyTitle, UnknownTitle
+from .errors import EmptyTitle, UnknownTitle
 from .rows import read_jsonl
 from .text import tokenize
 
@@ -155,8 +155,6 @@ class Corpus:
         largest score are sorted, which gives the same floats in the same
         order as a full sort.
         """
-        if not features:
-            raise EmptyQuery("query has no features")
         scores = [0.0] * len(self.documents)
         for feature, q_weight in features:
             idf = self.idf(feature)

@@ -29,40 +29,23 @@ class EmptyTitle(MindrecError):
     pass
 
 
-class EmptyQuery(MindrecError):
-    pass
-
-
 class UnknownTitle(MindrecError):
     pass
 
 
 # user modeling
 
-class EmptyCollection(MindrecError):
-    pass
+class NoModel(MindrecError):
+    """No user model can be built for a user; `reason` says why."""
+    reason = None
 
 
-class EmptyScores(MindrecError):
-    pass
+class EmptyCollection(NoModel):
+    reason = "no_maps"
 
 
-class EmptyOccurrences(MindrecError):
-    pass
-
-
-class NoPositiveFeatures(MindrecError):
-    pass
-
-
-# matching
-
-class EmptyModel(MindrecError):
-    pass
-
-
-class EmptyPool(MindrecError):
-    pass
+class NoPositiveFeatures(NoModel):
+    reason = "no_features"
 
 
 # evaluation
@@ -71,15 +54,7 @@ class NoCitations(MindrecError):
     pass
 
 
-class NoImpressions(MindrecError):
-    pass
-
-
 # experiment / storage
-
-class UnknownPreset(MindrecError):
-    pass
-
 
 class InvalidConfig(MindrecError, ValueError):
     """A configuration or variable space with an unknown key or value."""

@@ -4,7 +4,7 @@ metric suite computed from recommendation event logs."""
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyCollection, NoCitations, NoImpressions, NoPositiveFeatures
+from .errors import NoCitations, NoModel
 from .experiment import build_model
 from .matching import retrieve_candidates
 from .mindmap import MindMapCollection, copy_mindmap
@@ -117,10 +117,9 @@ def offline_evaluate_user(collection, corpus, config):
     pruned = MindMapCollection(collection.user_id, pruned_maps, events=events)
 
     try:
-        model = build_model(pruned, corpus, config, now=target_at)
-        pool = retrieve_candidates(corpus, model)
-    except (NoPositiveFeatures, EmptyCollection):
-        pool = []
+        pool = retrieve_candidates(corpus, build_model(pruned, corpus, config, now=target_at))
+    except NoModel:
+        pool = []  # no model: a miss
 
     candidate_ids = [doc_id for doc_id, _ in pool]
     rank = candidate_ids.index(target_doc) + 1 if target_doc in candidate_ids else None
@@ -143,7 +142,8 @@ def online_metrics(events, ratings=(), group_by=None, set_attrs=None):
     same user.  `group_by`: None for one overall group, "user_id", or an
     attribute key looked up in `set_attrs` (set_id -> {key: value}); a
     group is the text of the value, "unknown" for a set not in
-    `set_attrs`.  Returns [(group, metric, value, n)] rows.
+    `set_attrs`.  Returns [(group, metric, value, n)] rows, none for an
+    empty log.
     """
     def group_of(record):
         """Group of an event or a rating; both carry user_id and set_id."""
@@ -172,15 +172,10 @@ def online_metrics(events, ratings=(), group_by=None, set_attrs=None):
         total[0] += r.rating
         total[1] += 1
 
-    if group_by is None and not tallies:
-        raise NoImpressions("no shown events")
-
     report = []
     for group in sorted(tallies):
         kinds, per_set, per_user = tallies[group]
-        n_shown = kinds["shown"]
-        if not n_shown:
-            raise NoImpressions("no shown events")
+        n_shown = kinds["shown"]  # >= 1: a replayed click's group holds its shown row
         report += [
             (group, "ctr", kinds["clicked"] / n_shown, n_shown),
             (group, "ctr_set", sum(c / s for s, c in per_set.values()) / len(per_set),

@@ -4,7 +4,7 @@ configuration."""
 
 from dataclasses import asdict, dataclass
 
-from .errors import InvalidConfig, NoPositiveFeatures, UnknownPreset
+from .errors import InvalidConfig
 from .mindmap import EVENT_KINDS
 from .usermodel import (
     COMBINERS,
@@ -182,7 +182,7 @@ def random_config(space, rng):
 def preset(name):
     """A fresh, validated configuration of the named preset."""
     if name not in PRESETS:
-        raise UnknownPreset(f"no preset named {name!r}")
+        raise InvalidConfig(f"no preset named {name!r}")
     return parse_config(f"preset_name = {name}\n{PRESETS[name]}")
 
 
@@ -199,8 +199,6 @@ def build_model(collection, corpus, config, now):
         collection, weighted_nodes, config.feature_type,
         config.remove_stopwords, corpus=corpus,
     )
-    if not occurrences:
-        raise NoPositiveFeatures("selection yielded no features")
     weighted = weight_features(occurrences, config.scheme,
                                corpus=corpus, collection=collection)
     return build_user_model(weighted, config, collection.user_id)
@@ -273,12 +271,17 @@ def _parse(key, raw):
 
 def _lines(text):
     """(line number, key, raw value) per `key = value` line, skipping
-    blank lines and # comments."""
+    blank lines and # comments; a key given twice raises InvalidConfig."""
+    seen = set()
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if line and not line.startswith("#"):
             key, _, raw = line.partition("=")
-            yield number, key.strip(), raw.strip()
+            key = key.strip()
+            if key in seen:
+                raise InvalidConfig(f"line {number}: {key!r} is given twice")
+            seen.add(key)
+            yield number, key, raw.strip()
 
 
 def serialize_config(config):

@@ -10,7 +10,7 @@ no model can be built for.
 import hashlib
 from dataclasses import dataclass
 
-from .errors import EmptyCollection, EmptyModel, EmptyPool, NoPositiveFeatures
+from .errors import NoModel
 from .experiment import build_model
 
 DEFAULT_POOL_SIZE = 50
@@ -39,8 +39,6 @@ class RecommendationSet:
 
 def retrieve_candidates(corpus, model, pool_size=DEFAULT_POOL_SIZE):
     """Ranked candidate pool for a user model, truncated to pool_size."""
-    if not model.features:
-        raise EmptyModel(f"user model for {model.user_id!r} is empty")
     query = [(f, 1.0 if w is None else w) for f, w in model.features]
     return corpus.rank(query, top=pool_size)
 
@@ -49,10 +47,9 @@ def select_and_shuffle(pool, rng, k=DEFAULT_SET_SIZE):
     """Sample min(k, |pool|) pool entries without replacement, then shuffle.
 
     The generator is consumed in a fixed order (sample, then permutation)
-    so one seed reproduces the delivered set exactly.
+    so one seed reproduces the delivered set exactly; an empty pool gives
+    no items and draws nothing.
     """
-    if not pool:
-        raise EmptyPool("candidate pool is empty")
     n = min(k, len(pool))
     picked = rng.sample(range(len(pool)), n)
     display = list(range(1, n + 1))
@@ -75,27 +72,23 @@ def dispatch(collection, corpus, config, stereotype_catalog, rng,
     """Deliver one recommendation set for a user.
 
     With probability p_stereotype the curated catalog is served instead of
-    the content-based route; the catalog is also the fallback when the
-    content-based route yields no model or no candidates.  The generator
-    is consumed in the fixed order: arm choice, sampling, shuffle.
+    the content-based route.  The catalog is also served, labelled
+    `stereotype`, when the content-based route raises NoModel or retrieves
+    an empty pool.  The generator is consumed in the fixed order: arm
+    choice, sampling, shuffle.
     """
     use_stereotype = (
         config.preset_name == "stereotype" or rng.random() < p_stereotype
     )
-    items = None
+    pool = []
     if not use_stereotype:
         try:
-            model = build_model(collection, corpus, config, now)
-            pool = retrieve_candidates(corpus, model)
-            if not pool:
-                raise EmptyPool("no candidates for user model")
-            items = select_and_shuffle(pool, rng)
-            algorithm = config.algorithm
-        except (EmptyCollection, NoPositiveFeatures, EmptyPool):
-            pass  # fall back to the stereotype catalog
-    if items is None:
-        catalog_pool = [(doc_id, 0.0) for doc_id in stereotype_catalog]
-        items = select_and_shuffle(catalog_pool, rng)
+            pool = retrieve_candidates(corpus, build_model(collection, corpus, config, now))
+        except NoModel:
+            pass  # served the catalog below
+    algorithm = config.algorithm
+    if not pool:
+        pool = [(doc_id, 0.0) for doc_id in stereotype_catalog]
         algorithm = "stereotype"
     return RecommendationSet(set_id, collection.user_id, now, "requested", label,
-                             algorithm, items)
+                             algorithm, select_and_shuffle(pool, rng))

@@ -10,12 +10,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .corpus import citation_feature
-from .errors import (
-    EmptyCollection,
-    EmptyOccurrences,
-    EmptyScores,
-    NoPositiveFeatures,
-)
+from .errors import EmptyCollection, NoPositiveFeatures
 from .mindmap import is_visible, node_depth, node_stats
 from .text import tokenize
 
@@ -151,12 +146,6 @@ def node_weight(stats, metric, transform, direction):
     return min(1.0, 1.0 / transformed)
 
 
-def combine_node_weights(scores, combiner):
-    if not scores:
-        raise EmptyScores("no node-weight scores to combine")
-    return COMBINERS[combiner](scores)
-
-
 def weigh_nodes(collection, selection, cfg):
     """(map_id, node_id, weight) per selected node; every weight is 1
     unless cfg.node_weighting."""
@@ -167,7 +156,7 @@ def weigh_nodes(collection, selection, cfg):
         latest = collection.latest(map_id)
         stats = (node_depth(latest, node_id),) + node_stats(latest, node_id)
         scores = [node_weight(stats, m, cfg.transform, cfg.direction) for m in cfg.metrics]
-        weighted.append((map_id, node_id, combine_node_weights(scores, cfg.combiner)))
+        weighted.append((map_id, node_id, COMBINERS[cfg.combiner](scores)))
     return weighted
 
 
@@ -211,8 +200,6 @@ def weight_features(occurrences, scheme, corpus=None, collection=None):
     ln(N/df) over the global corpus.  tf_iduf: scaled by ln(M/udf) over
     the user's own mind maps.
     """
-    if not occurrences:
-        raise EmptyOccurrences("no feature occurrences")
     tf = {}
     for feature, weight in occurrences:
         tf[feature] = tf.get(feature, 0.0) + weight

@@ -104,6 +104,15 @@ class TestMetricsCommand:
                     "--group-by", group_by, "--out", out]) == 0
         assert {r["group"] for r in csv.DictReader(out.read_text().splitlines())} == groups
 
+    @pytest.mark.parametrize("group_by", [None, "user_id"], ids=["plain", "by_user"])
+    def test_empty_log_writes_header_only(self, tmp_path, group_by):
+        events = tmp_path / "e.csv"
+        events.write_text("set_id,doc_id,user_id,kind,at\n")
+        out = tmp_path / "report.csv"
+        argv = ["metrics", "--events", events, "--out", out]
+        assert run(argv + (["--group-by", group_by] if group_by else [])) == 0
+        assert out.read_text() == "group,metric,value,n\n"
+
     @pytest.mark.parametrize("group_by, with_sets", [
         ("items", True), ("nosuch", True), ("nosuch", False), ("algorithm", False),
     ], ids=["list_field", "unknown_name_with_sets", "unknown_name",
@@ -266,6 +275,31 @@ class TestRecommendCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {catalog}: line 2: ") and "Not In The Corpus" in err
 
+    @pytest.mark.parametrize("p_stereotype", [1, 0], ids=["stereotype_arm", "content_route"])
+    def test_empty_stereotype_file_named(self, tmp_path, capsys, p_stereotype):
+        # the file is checked where it enters, whichever route serves
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text("\n\n")
+        out = tmp_path / "rec.csv"
+        assert run(["recommend", "--corpus", corpus_path, "--mindmaps", maps_dir,
+                    "--user", "user01", "--seed", 1, "--now", now, "--stereotype", catalog,
+                    "--p-stereotype", p_stereotype, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {catalog}: ") and "stereotype catalog" in err
+        assert not out.exists()
+
+    def test_corpus_without_documents_named(self, tmp_path, capsys):
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text("")
+        (tmp_path / "mindmaps" / "u").mkdir(parents=True)
+        (tmp_path / "mindmaps" / "u" / "m1.mm").write_bytes(
+            serialize_mindmap(MindMap("m1", node("r", "quantum flux"))))
+        assert run(["recommend", "--corpus", corpus_path, "--mindmaps", tmp_path / "mindmaps",
+                    "--user", "u", "--seed", 1, "--p-stereotype", 0]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus_path}: ") and "stereotype catalog" in err
+
     def test_user_without_maps_gets_stereotype(self, tmp_path):
         corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
         (maps_dir / "emptyuser").mkdir()
@@ -363,12 +397,25 @@ class TestOfflineEvalCommand:
     def test_limit_below_one_rejected(self, tmp_path, capsys, source, key, value):
         corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
         path = tmp_path / "limits.txt"
-        path.write_text(f"node_limit = 5\n{key} = {value}\n")
+        bound = "map_limit" if key == "node_limit" else "node_limit"
+        path.write_text(f"{bound} = 5\n{key} = {value}\n")
         assert run(["offline-eval", "--corpus", corpus_path, "--mindmaps", maps_dir,
                     "--seed", 3, "--now", now, source, path,
                     "--out", tmp_path / "o.csv"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {key}: ") and "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("source", ["--config", "--space"])
+    def test_repeated_key_rejected(self, tmp_path, capsys, source):
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        path = tmp_path / "twice.txt"
+        path.write_text("node_limit = 5\n# again\nnode_limit = 10\n")
+        assert run(["offline-eval", "--corpus", corpus_path, "--mindmaps", maps_dir,
+                    "--seed", 3, "--now", now, source, path,
+                    "--out", tmp_path / "o.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 3: 'node_limit'") and "Traceback" not in err
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("text, key", [

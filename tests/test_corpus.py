@@ -5,7 +5,7 @@ import re
 import pytest
 
 from mindrec.corpus import Corpus, citation_feature, cleantitle, document_id, load_corpus_jsonl
-from mindrec.errors import EmptyQuery, EmptyTitle, MalformedRow, MindrecError
+from mindrec.errors import EmptyTitle, MalformedRow, MindrecError
 from mindrec.usermodel import extract_features
 
 from conftest import WORDS, node, single_map_collection, small_corpus
@@ -195,8 +195,7 @@ class TestScoreQuery:
         assert self._ab_corpus().score_query([("zz", 1.0)]) == []
 
     def test_empty_query(self):
-        with pytest.raises(EmptyQuery):
-            self._ab_corpus().score_query([])
+        assert self._ab_corpus().score_query([]) == []
 
     def test_weighted_query(self):
         corpus = self._ab_corpus()
@@ -332,5 +331,5 @@ class TestRank:
         assert splits_against_ordinal_order > 100
 
     def test_empty_query_with_top(self):
-        with pytest.raises(EmptyQuery):
-            Corpus().rank([], top=5)
+        assert Corpus().rank([], top=5) == []
+        assert small_corpus().rank([], top=1) == []

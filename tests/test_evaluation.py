@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mindrec.corpus import Corpus
-from mindrec.errors import NoCitations, NoImpressions
+from mindrec.errors import NoCitations
 from mindrec.evaluation import (
     RecEvent,
     SetRating,
@@ -210,8 +210,8 @@ class TestOnlineMetrics:
         assert got[("stereotype", "ctr")][0] == 0.0
 
     def test_no_impressions(self):
-        with pytest.raises(NoImpressions):
-            online_metrics([])
+        assert online_metrics([]) == []
+        assert online_metrics([], group_by="user_id") == []
 
     def test_rates_bounded(self):
         rng = random.Random(4)

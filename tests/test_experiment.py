@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mindrec
-from mindrec.errors import InvalidConfig, UnknownPreset
+from mindrec.errors import InvalidConfig
 from mindrec.experiment import (
     DEFAULT_SPACE,
     PARSERS,
@@ -57,7 +57,7 @@ class TestPresets:
         assert preset("stereotype").preset_name == "stereotype"
 
     def test_unknown(self):
-        with pytest.raises(UnknownPreset):
+        with pytest.raises(InvalidConfig, match="nope"):
             preset("nope")
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -128,6 +128,10 @@ class TestSpaceFile:
         with pytest.raises(InvalidConfig, match="bogus"):
             parse_space("scheme = tf_only, bogus\n")
 
+    def test_repeated_key(self):
+        with pytest.raises(InvalidConfig, match="line 2: 'scheme'"):
+            parse_space("scheme = tf_only\nscheme = tf_idf\n")
+
     @pytest.mark.parametrize("text", [
         "map_limit = none\nnode_limit = none\nday_window = 7\n",
         "map_limit = none\nnode_limit = none, 5\nday_window = none\n",
@@ -151,6 +155,10 @@ class TestConfigFile:
     def test_unknown_key(self):
         with pytest.raises(InvalidConfig, match="node_limt"):
             parse_config("node_limt = 5\n")
+
+    def test_repeated_key(self):
+        with pytest.raises(InvalidConfig, match="line 2: 'node_limit'"):
+            parse_config("node_limit = 5\nnode_limit = 10\n")
 
     def test_bad_choice(self):
         cfg = preset("all_maps_all_terms")
@@ -203,8 +211,9 @@ class TestSchema:
     @pytest.mark.parametrize("key", ["map_limit", "node_limit", "day_window", "model_size"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_limit_below_one_rejected(self, key, value):
+        bound = "map_limit" if key == "node_limit" else "node_limit"
         with pytest.raises(InvalidConfig, match=f"^{key}: "):
-            parse_config(f"node_limit = 5\n{key} = {value}\n")
+            parse_config(f"{bound} = 5\n{key} = {value}\n")
         with pytest.raises(InvalidConfig, match=f"^{key}: "):
             parse_space(f"{key} = 5, {value}\n")
         cfg = AlgorithmConfig(node_limit=5)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from mindrec.errors import EmptyModel, EmptyPool
+from mindrec import cli, evaluation, experiment, matching
+from mindrec.errors import NoModel
 from mindrec.experiment import preset
 from mindrec.matching import (
     derive_seed,
@@ -38,8 +39,7 @@ class TestRetrieveCandidates:
         assert retrieve_candidates(corpus3, model_of("zzz")) == []
 
     def test_empty_model(self, corpus3):
-        with pytest.raises(EmptyModel):
-            retrieve_candidates(corpus3, UserModel(user_id="u", features=[]))
+        assert retrieve_candidates(corpus3, UserModel(user_id="u", features=[])) == []
 
 
 class TestSelectAndShuffle:
@@ -63,8 +63,9 @@ class TestSelectAndShuffle:
         assert all(1 <= i.original_rank <= 50 for i in items)
 
     def test_empty_pool(self):
-        with pytest.raises(EmptyPool):
-            select_and_shuffle([], k=10, rng=random.Random(0))
+        rng = random.Random(0)
+        assert select_and_shuffle([], k=10, rng=rng) == []
+        assert rng.getstate() == random.Random(0).getstate()  # nothing drawn
 
     def test_generator_required(self):
         # no unseeded fallback: every delivered set comes from a given seed
@@ -151,3 +152,42 @@ class TestDeriveSeed:
 
     def test_user_dependent(self):
         assert derive_seed(1, "u1") != derive_seed(1, "u2")
+
+
+class TestNoModel:
+    @pytest.mark.parametrize("reason", ["no_maps", "no_features"])
+    def test_catalog_served_and_miss_counted(self, tmp_path, monkeypatch, reason):
+        now = 1_000 * DAY_MS
+        cite = node("cite", "reference", link="Quantum Flux Paradigm",
+                    created_at=now - 5 * DAY_MS)
+        if reason == "no_maps":
+            (tmp_path / "u").mkdir()
+            served = cli.load_user_collections(tmp_path)["u"]
+            # the one map begins after its own citation: offline keeps no map
+            evaluated = single_map_collection(
+                "u", node("r", "quantum flux", children=[cite], created_at=now - DAY_MS))
+        else:
+            # one map: TF-IDuF weighs every feature ln(1/1) = 0
+            served = evaluated = single_map_collection("u", node(
+                "r", "quantum flux", created_at=now - 10 * DAY_MS,
+                children=[node("a", "neural network", created_at=now - 9 * DAY_MS), cite]))
+        corpus = small_corpus()
+        corpus.freeze({"u": evaluated})
+        config = preset("docear_combined")
+
+        reasons = []
+
+        def recording(*args, **kwargs):
+            try:
+                return experiment.build_model(*args, **kwargs)
+            except NoModel as exc:
+                reasons.append(exc.reason)
+                raise
+
+        monkeypatch.setattr(matching, "build_model", recording)
+        monkeypatch.setattr(evaluation, "build_model", recording)
+        rec = dispatch(served, corpus, config, sorted(corpus.documents),
+                       random.Random(1), p_stereotype=0.0, now=now)
+        assert rec.algorithm == "stereotype" and rec.items
+        assert evaluation.offline_evaluate_user(evaluated, corpus, config).target_rank is None
+        assert reasons == [reason, reason]

@@ -4,17 +4,13 @@ import random
 import pytest
 
 from mindrec.corpus import Corpus, citation_feature
-from mindrec.errors import (
-    EmptyCollection,
-    EmptyScores,
-    NoPositiveFeatures,
-)
+from mindrec.errors import EmptyCollection, InvalidConfig, NoPositiveFeatures
 from mindrec.experiment import AlgorithmConfig, build_model, docear_combined_model, preset
 from mindrec.mindmap import MindMap, MindMapCollection, NodeEvent, is_visible
 from mindrec.usermodel import (
+    COMBINERS,
     DAY_MS,
     build_user_model,
-    combine_node_weights,
     extend_selection,
     extract_features,
     node_weight,
@@ -174,20 +170,21 @@ class TestNodeWeight:
 
 class TestCombine:
     def test_sum(self):
-        assert combine_node_weights([2, 3], "sum") == 5
+        assert COMBINERS["sum"]([2, 3]) == 5
 
     def test_product_max_avg(self):
-        assert combine_node_weights([2, 3], "product") == 6
-        assert combine_node_weights([2, 3], "max") == 3
-        assert combine_node_weights([2, 3], "avg") == 2.5
+        assert COMBINERS["product"]([2, 3]) == 6
+        assert COMBINERS["max"]([2, 3]) == 3
+        assert COMBINERS["avg"]([2, 3]) == 2.5
 
     @pytest.mark.parametrize("combiner", ["sum", "max", "product", "avg"])
     def test_singleton_identity(self, combiner):
-        assert combine_node_weights([7.5], combiner) == 7.5
+        assert COMBINERS[combiner]([7.5]) == 7.5
 
     def test_empty(self):
-        with pytest.raises(EmptyScores):
-            combine_node_weights([], "sum")
+        # no combiner ever sees an empty list: weighting needs a metric
+        with pytest.raises(InvalidConfig, match="metric"):
+            AlgorithmConfig(node_limit=1, node_weighting=True, metrics=()).validate()
 
 
 class TestExtractFeatures:
