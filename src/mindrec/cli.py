@@ -20,49 +20,81 @@ from .errors import (InconsistentRevisions, InvalidConfig, InvariantViolation,
                      MalformedInput, MindrecError, NoCitations, UnknownTitle)
 from .evaluation import RecEvent, SetRating
 from .matching import RecommendationItem, RecommendationSet
-from .mindmap import MindMapCollection, parse_mindmap, read_event_log
+from .mindmap import (MindMapCollection, check_revisions, parse_mindmap,
+                      read_event_log, read_map_links, revision_chains)
 from .rows import csv_row_of, read_csv, read_jsonl, read_text
 
 # metrics --group-by: the user of an event, or a scalar field of its set
 GROUP_BY = tuple(f.name for f in dataclasses.fields(RecommendationSet) if f.type is not list)
 
 
-def load_user_collections(mindmaps_dir):
-    """One subdirectory per user, holding that user's .mm files.
+def _user_dirs(mindmaps_dir):
+    return sorted(p for p in Path(mindmaps_dir).iterdir() if p.is_dir())
+
+
+def _read_user(user_dir, read_map):
+    """The .mm files of one user directory, each read by `read_map(data,
+    map_id, revision)` in file-name order and grouped by `revision_chains`,
+    and the sidecar events (None without a sidecar).
 
     File stem is the map id; an optional `__rev<N>` suffix marks later
-    revisions.  A sidecar events.csv, when present, is the canonical
-    event log for the user and overrides derivation from revisions.
-    A map or sidecar that cannot be read raises a MindrecError naming it.
+    revisions.  A map or sidecar that cannot be read raises a MindrecError
+    naming it; without a sidecar, events are derived from the revisions,
+    and two revisions of a map with one number raise InconsistentRevisions
+    naming the directory.
     """
-    root = Path(mindmaps_dir)
-    collections = {}
-    for user_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        revisions = []
-        for path in sorted(user_dir.glob("*.mm")):
-            stem = path.stem
-            map_id, _, rev = stem.partition("__rev")
-            try:
-                revision = int(rev) if rev else 1
-                mindmap = parse_mindmap(path.read_bytes(), map_id=map_id,
-                                        revision=revision)
-            except (ValueError, MindrecError) as exc:
-                raise MalformedInput(f"{path}: {exc}") from exc
-            mindmap.saved_at = max(
-                (mindmap.node(n).modified_at for n in mindmap.node_ids()),
-                default=0,
-            )
-            revisions.append(mindmap)
-        events = None
-        sidecar = user_dir / "events.csv"
-        if sidecar.exists():
-            events = read_event_log(sidecar)
+    revisions = []
+    for path in sorted(user_dir.glob("*.mm")):
+        map_id, _, rev = path.stem.partition("__rev")
         try:
-            collections[user_dir.name] = MindMapCollection(user_dir.name, revisions,
-                                                           events=events)
+            revision = int(rev) if rev else 1
+            revisions.append(read_map(path.read_bytes(), map_id, revision))
+        except (ValueError, MindrecError) as exc:
+            raise MalformedInput(f"{path}: {exc}") from exc
+    sidecar = user_dir / "events.csv"
+    events = read_event_log(sidecar) if sidecar.exists() else None
+    chains = revision_chains(revisions)
+    if events is None:
+        try:
+            for chain in chains.values():
+                check_revisions(chain)
         except InconsistentRevisions as exc:
             raise InconsistentRevisions(f"{user_dir}: {exc}") from exc
-    return collections
+    return chains, events
+
+
+def _load_collection(user_dir):
+    chains, events = _read_user(user_dir, parse_mindmap)
+    return MindMapCollection(user_dir.name, [m for chain in chains.values() for m in chain],
+                             events=events)
+
+
+def load_user_collections(mindmaps_dir):
+    """{user_id: MindMapCollection}: one subdirectory per user, holding
+    that user's .mm files and an optional events.csv sidecar, the
+    canonical event log for the user, which overrides derivation from
+    revisions.  Faults raise as in `_read_user`."""
+    return {user_dir.name: _load_collection(user_dir) for user_dir in _user_dirs(mindmaps_dir)}
+
+
+def load_user_links(mindmaps_dir, user_id):
+    """(the collection of `user_id`, None without its directory;
+    {user_id: links of the latest maps} of every user, for `Corpus.freeze`).
+
+    Only `user_id` is loaded in full.  The other users' maps are read for
+    their links only, but every fault `load_user_collections` rejects
+    raises the same error, users in the same order.
+    """
+    collection, links = None, {}
+    for user_dir in _user_dirs(mindmaps_dir):
+        if user_dir.name == user_id:
+            collection = _load_collection(user_dir)
+            links[user_id] = collection.links()
+        else:
+            chains, _ = _read_user(user_dir, read_map_links)
+            links[user_dir.name] = [link for chain in chains.values()
+                                    for link in chain[-1].links]
+    return collection, links
 
 
 def replay_event_log(path):
@@ -110,6 +142,20 @@ def _set_rating(row):
     if not 1 <= rating <= 5:
         raise ValueError(f"rating {rating} outside 1..5")
     return SetRating(row["set_id"], row["user_id"], rating, int(row["at"]))
+
+
+def _read_ratings(path, events):
+    """Parse a ratings CSV (`set_id,user_id,rating,at`) against a replayed
+    event log: a rating of a set that was not shown to the rating's user
+    raises InvariantViolation naming the row."""
+    ratings = read_csv(path, _set_rating)
+    shown = {(event.set_id, event.user_id) for event in events if event.kind == "shown"}
+    for index, rating in enumerate(ratings):
+        if (rating.set_id, rating.user_id) not in shown:
+            raise InvariantViolation(f"{path}: row {csv_row_of(path, index)}: rating of set "
+                                     f"{rating.set_id!r}, which was not shown to "
+                                     f"{rating.user_id!r}")
+    return ratings
 
 
 def _recommendation_set(record):
@@ -188,15 +234,15 @@ def cmd_ingest_mindmaps(args):
 
 def cmd_recommend(args):
     corpus = load_corpus_jsonl(args.corpus)
-    collections = load_user_collections(args.mindmaps)
-    if args.user not in collections:
+    collection, links = load_user_links(args.mindmaps, args.user)
+    if collection is None:
         raise MindrecError(f"unknown user {args.user!r}")
-    corpus.freeze(collections)
+    corpus.freeze(links)
     config = _load_config(args)
     catalog = _stereotype_catalog(corpus, args)
     rng = random.Random(matching.derive_seed(args.seed, args.user))
     rec_set = matching.dispatch(
-        collections[args.user], corpus, config, catalog, rng,
+        collection, corpus, config, catalog, rng,
         p_stereotype=args.p_stereotype, now=args.now,
         set_id=f"set_{args.user}_{args.seed}", label=args.label,
     )
@@ -214,7 +260,7 @@ def cmd_recommend(args):
 def cmd_offline_eval(args):
     corpus = load_corpus_jsonl(args.corpus)
     collections = load_user_collections(args.mindmaps)
-    corpus.freeze(collections)
+    corpus.freeze({user_id: c.links() for user_id, c in collections.items()})
     space = None
     if args.space:
         space = _parse_file(experiment.parse_space, args.space)
@@ -244,7 +290,7 @@ def offline_result_row(result):
 
 def cmd_metrics(args):
     events = replay_event_log(args.events)
-    ratings = read_csv(args.ratings, _set_rating) if args.ratings else []
+    ratings = _read_ratings(args.ratings, events) if args.ratings else []
     set_attrs = None
     if args.sets:
         set_attrs = {rec_set.set_id: vars(rec_set)

@@ -7,6 +7,7 @@ and citation features can share one query (mixed user models).
 
 import heapq
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -15,6 +16,7 @@ from .rows import read_jsonl
 from .text import tokenize
 
 CITATION_PREFIX = "citation:"
+_NON_LETTERS = re.compile("[^a-z]+")
 
 
 def citation_feature(doc_id):
@@ -41,7 +43,7 @@ def cleantitle(title):
     Falls back to the original title when normalization strips more than
     half of it (protects non-Latin titles from collapsing).
     """
-    normalized = "".join(ch for ch in title.lower() if "a" <= ch <= "z")
+    normalized = _NON_LETTERS.sub("", title.lower())
     if len(normalized) * 2 < len(title):
         return title
     return normalized
@@ -89,16 +91,15 @@ class Corpus:
         self.cleantitle_index[key] = doc_id
         return doc_id
 
-    def freeze(self, collections):
+    def freeze(self, links):
         """Mint every title linked from the users' latest maps, users in
         sorted order, so that ids and N do not depend on which user a
-        command builds a model for first."""
-        for user_id in sorted(collections):
-            for mindmap in collections[user_id].latest_maps():
-                for node_id in mindmap.node_ids():
-                    link = mindmap.node(node_id).link
-                    if link:
-                        self.resolve_citation(link)
+        command builds a model for first.  `links`: {user_id: the links
+        of that user's latest maps in order}, as `MindMapCollection.links`
+        gives them."""
+        for user_id in sorted(links):
+            for link in links[user_id]:
+                self.resolve_citation(link)
 
     def lookup(self, title):
         """The id of the document a title names; never mints."""
@@ -116,20 +117,29 @@ class Corpus:
         doc = self.documents[doc_id]
         doc.title = title
 
-        term_counts = Counter(tokenize(title))
-        if body_terms:
-            term_counts.update(t.lower() for t in body_terms)
-        new_terms = term_counts - doc.terms
-        doc.terms.update(new_terms)
+        term_counts = Counter([*tokenize(title), *(t.lower() for t in body_terms or ())])
+        if doc.terms:   # a merge: only the counts beyond the ones it has add postings
+            new_terms = term_counts - doc.terms
+            doc.terms.update(new_terms)
+        else:
+            doc.terms = new_terms = term_counts
+        term_index = self.term_index
         for term, n in new_terms.items():
-            postings = self.term_index.setdefault(term, {})
-            postings[ordinal] = postings.get(ordinal, 0) + n
+            postings = term_index.get(term)
+            if postings is None:
+                term_index[term] = {ordinal: n}
+            else:
+                postings[ordinal] = postings.get(ordinal, 0) + n
 
         for reference in citations:
             cited = self.resolve_citation(reference)
             if cited not in doc.cited_ids:
                 doc.cited_ids.append(cited)
-                self.citation_index.setdefault(cited, {})[ordinal] = 1
+                postings = self.citation_index.get(cited)
+                if postings is None:
+                    self.citation_index[cited] = {ordinal: 1}
+                else:
+                    postings[ordinal] = 1
         return doc_id
 
     def _postings(self, feature):

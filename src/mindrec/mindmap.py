@@ -7,6 +7,7 @@ attributes.  Unknown attributes and elements are ignored.
 
 import hashlib
 import xml.etree.ElementTree as ET
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 from .errors import InconsistentRevisions, MalformedInput, NoRoot, UnknownNode
@@ -79,6 +80,10 @@ class MindMap:
         self.node(node_id)
         return self._index[node_id]
 
+    def links(self):
+        """The nodes' links in walk order."""
+        return [node.link for node in self._by_id.values() if node.link]
+
 
 def _synthetic_id(path):
     digest = hashlib.sha1("/".join(str(i) for i in path).encode()).hexdigest()
@@ -94,31 +99,17 @@ def _timestamp(attrs, name):
         raise MalformedInput(f"{name}={raw!r} is not a finite number") from None
 
 
-def _parse_node(elem, path):
-    if elem.tag != "node":
-        raise MalformedInput(f"unexpected element {elem.tag!r}")
-    attrs = elem.attrib
-    node = MindNode(
-        id=attrs.get("ID") or _synthetic_id(path),
-        text=attrs.get("TEXT", ""),
-        link=attrs.get("LINK") or None,
-        folded=attrs.get("FOLDED", "false").lower() == "true",
-        created_at=_timestamp(attrs, "CREATED"),
-        modified_at=_timestamp(attrs, "MODIFIED"),
-    )
-    child_index = 0
-    for child in elem:
-        if child.tag == "node":
-            node.children.append(_parse_node(child, path + (child_index,)))
-            child_index += 1
-    return node
+def _walk_map(data, map_id, visit):
+    """Check a map's markup and visit each of its nodes in walk order.
 
-
-def parse_mindmap(data, map_id="map", revision=1, saved_at=0):
-    """Parse raw mind-map markup into a MindMap.
-
-    Raises MalformedInput on unparseable markup and NoRoot when the map
-    element does not contain exactly one top-level node.
+    `visit(attrs, node_id, created_at, modified_at, parent)` gets a node
+    element's attributes, its id (a synthetic one from its position when
+    it has no ID) and its timestamps; `parent` is what `visit` returned
+    for the parent node, None for the root.  Returns what it returned for
+    the root.  Raises MalformedInput on unparseable markup, a root element
+    other than `map`, a timestamp that is not a finite number and, once
+    every node has been visited, the first repeated node id; NoRoot when
+    the map element does not contain exactly one top-level node.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -131,7 +122,64 @@ def parse_mindmap(data, map_id="map", revision=1, saved_at=0):
     roots = [child for child in doc if child.tag == "node"]
     if len(roots) != 1:
         raise NoRoot(f"expected exactly one top-level node, found {len(roots)}")
-    return MindMap(map_id, _parse_node(roots[0], (0,)), revision=revision, saved_at=saved_at)
+    seen, repeated = set(), []
+
+    def walk(elem, path, parent):
+        attrs = elem.attrib
+        node_id = attrs.get("ID") or _synthetic_id(path)
+        if node_id in seen:
+            repeated.append(node_id)
+        seen.add(node_id)
+        made = visit(attrs, node_id, _timestamp(attrs, "CREATED"),
+                     _timestamp(attrs, "MODIFIED"), parent)
+        child_index = 0
+        for child in elem:
+            if child.tag == "node":
+                walk(child, path + (child_index,), made)
+                child_index += 1
+        return made
+
+    root = walk(roots[0], (0,), None)
+    if repeated:
+        raise MalformedInput(f"duplicate node id {repeated[0]!r} in map {map_id!r}")
+    return root
+
+
+def parse_mindmap(data, map_id="map", revision=1, saved_at=None):
+    """Parse raw mind-map markup into a MindMap; faults raise as in
+    `_walk_map`.  `saved_at` defaults to the latest MODIFIED of its nodes."""
+
+    def visit(attrs, node_id, created_at, modified_at, parent):
+        node = MindNode(node_id, attrs.get("TEXT", ""), attrs.get("LINK") or None,
+                        attrs.get("FOLDED", "false").lower() == "true", [],
+                        created_at, modified_at)
+        if parent is not None:
+            parent.children.append(node)
+        return node
+
+    mindmap = MindMap(map_id, _walk_map(data, map_id, visit), revision=revision)
+    mindmap.saved_at = max(node.modified_at for node in mindmap._by_id.values()) \
+        if saved_at is None else saved_at
+    return mindmap
+
+
+# The links of one map revision's nodes, in walk order.  A namedtuple, as
+# a dataclass would add about a millisecond to every command's start.
+MapLinks = namedtuple("MapLinks", "map_id revision links")
+
+
+def read_map_links(data, map_id="map", revision=1):
+    """The MapLinks of raw mind-map markup, read without building the map;
+    every fault `parse_mindmap` rejects raises the same error here."""
+    links = []
+
+    def visit(attrs, node_id, created_at, modified_at, parent):
+        link = attrs.get("LINK")
+        if link:
+            links.append(link)
+
+    _walk_map(data, map_id, visit)
+    return MapLinks(map_id, revision, links)
 
 
 def serialize_mindmap(mindmap):
@@ -183,6 +231,28 @@ def node_stats(mindmap, node_id):
     return len(node.children), siblings, len(tokenize(node.text))
 
 
+def revision_chains(revisions):
+    """{map_id: [revision, ...]} of MindMaps or MapLinks, map ids in order of
+    first appearance, each chain sorted by revision number (stable)."""
+    chains = {}
+    for rev in revisions:
+        chains.setdefault(rev.map_id, []).append(rev)
+    for chain in chains.values():
+        chain.sort(key=lambda m: m.revision)
+    return chains
+
+
+def check_revisions(chain):
+    """Raise InconsistentRevisions unless a chain is of one map id, in
+    strictly increasing revision numbers."""
+    for prev, cur in zip(chain, chain[1:]):
+        if cur.map_id != prev.map_id:
+            raise InconsistentRevisions("revisions mix map ids")
+        if cur.revision <= prev.revision:
+            raise InconsistentRevisions(f"map {cur.map_id!r}: revision {cur.revision} "
+                                        f"after {prev.revision}")
+
+
 def derive_events(revisions):
     """Reconstruct created/edited/moved events from a revision chain.
 
@@ -190,13 +260,9 @@ def derive_events(revisions):
     sibling index) pair.  A sidecar event log, when available, should be
     preferred over this reconstruction.
     """
+    check_revisions(revisions)
     events = []
     for prev, cur in zip(revisions, revisions[1:]):
-        if cur.map_id != prev.map_id:
-            raise InconsistentRevisions("revisions mix map ids")
-        if cur.revision <= prev.revision:
-            raise InconsistentRevisions(f"map {cur.map_id!r}: revision {cur.revision} "
-                                        f"after {prev.revision}")
         at = cur.saved_at
         for node_id in cur.node_ids():
             if node_id not in prev:
@@ -226,18 +292,13 @@ class MindMapCollection:
         event per node is synthesized from the node's created_at.
         """
         self.user_id = user_id
-        self.revisions = {}
-        for rev in revisions:
-            self.revisions.setdefault(rev.map_id, []).append(rev)
-        for chain in self.revisions.values():
-            chain.sort(key=lambda m: m.revision)
+        self.revisions = revision_chains(revisions)
         if events is None:
             events = []
             for chain in self.revisions.values():
                 first = chain[0]
-                events += [NodeEvent(first.map_id, node_id, "created",
-                                     first.node(node_id).created_at)
-                           for node_id in first.node_ids()]
+                events += [NodeEvent(first.map_id, node.id, "created", node.created_at)
+                           for node in first._by_id.values()]
                 events += derive_events(chain)
         self.events = sorted(events, key=lambda e: (e.at, e.map_id, e.node_id, e.kind))
 
@@ -250,6 +311,10 @@ class MindMapCollection:
 
     def latest_maps(self):
         return [chain[-1] for chain in self.revisions.values()]
+
+    def links(self):
+        """The links of the latest maps, maps in order, nodes in walk order."""
+        return [link for mindmap in self.latest_maps() for link in mindmap.links()]
 
     def is_empty(self):
         return not self.revisions

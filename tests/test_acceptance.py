@@ -133,14 +133,14 @@ def test_offline_evaluator_fixtures():
     corpus.ingest_document("Other Paper Entirely", body_terms=["unrelated"])
     corpus.ingest_document("Another Different One", body_terms=["misc"])
     user = user_with_citation("Zorblax Quuxify Theory", ["zorblax quuxify", "zorblax"], now)
-    corpus.freeze({user.user_id: user})
+    corpus.freeze({user.user_id: user.links()})
     hit = offline_evaluate_user(user, corpus, simple_config())
     assert (hit.p_at_3, hit.p_at_10, hit.mrr_term, hit.ndcg) == (1, 1, 1.0, 1.0)
 
     corpus2 = Corpus()
     corpus2.ingest_document("Completely Elsewhere Work", body_terms=["elsewhere"])
     user = user_with_citation("Some Uningested Reference", ["grobnik vexilla", "wumpus"], now)
-    corpus2.freeze({user.user_id: user})
+    corpus2.freeze({user.user_id: user.links()})
     miss = offline_evaluate_user(user, corpus2, simple_config())
     assert (miss.p_at_3, miss.p_at_10, miss.mrr_term, miss.ndcg) == (0, 0, 0.0, 0.0)
     print(f"{PASS} offline evaluator: forced-hit fixture all 1.0, disjoint "

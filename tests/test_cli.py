@@ -8,7 +8,7 @@ import pytest
 from mindrec import cli, evaluation, experiment
 from mindrec.corpus import load_corpus_jsonl
 from mindrec.errors import InvariantViolation, MalformedRow, MindrecError
-from mindrec.mindmap import MindMap, serialize_mindmap
+from mindrec.mindmap import MindMap, _synthetic_id, serialize_mindmap
 
 from conftest import DAY_MS, node, write_cli_fixture
 
@@ -70,6 +70,23 @@ class TestMetricsCommand:
                 for r in csv.DictReader(out.read_text().splitlines())}
         assert (rows["mean_rating"]["value"], rows["mean_rating"]["n"]) == \
             ("3.000000", "2")
+
+    @pytest.mark.parametrize("shown, rating_rows, group_by, row", [
+        ("s1,d1,u1,shown,1\n", "s1,u1,4,2\ns9,u2,2,3\n", "user_id", 3),
+        ("s1,d1,u1,shown,1\n", "s1,u1,4,2\ns9,u2,2,3\n", None, 3),
+        ("", "s1,u1,4,2\n", None, 2),
+        ("s1,d1,u1,shown,1\n", "s1,u2,4,2\n", None, 2),
+    ], ids=["unshown_set_by_user", "unshown_set", "header_only_log", "shown_to_another_user"])
+    def test_rating_of_a_set_not_shown_to_its_user_named(self, tmp_path, capsys, shown,
+                                                         rating_rows, group_by, row):
+        events = tmp_path / "e.csv"
+        events.write_text("set_id,doc_id,user_id,kind,at\n" + shown)
+        ratings = tmp_path / "r.csv"
+        ratings.write_text("set_id,user_id,rating,at\n" + rating_rows)
+        argv = ["metrics", "--events", events, "--ratings", ratings]
+        assert run(argv + (["--group-by", group_by] if group_by else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ratings}: row {row}: ") and "Traceback" not in err
 
     def test_group_by_set_field(self, tmp_path):
         events = tmp_path / "e.csv"
@@ -350,7 +367,7 @@ class TestOfflineEvalCommand:
 
         corpus = load_corpus_jsonl(corpus_path)
         collections = cli.load_user_collections(maps_dir)
-        corpus.freeze(collections)
+        corpus.freeze({u: c.links() for u, c in collections.items()})
         config = experiment.preset("all_maps_all_terms")
         expected = [evaluation.offline_evaluate_user(collections[u], corpus, config)
                     for u in sorted(collections)]
@@ -604,28 +621,82 @@ class TestIngestCommands:
         out = capsys.readouterr().out
         assert "user00" in out and "user01" in out
 
+    @staticmethod
+    def _recommend(corpus_path, maps_dir, now, user="user00", *extra):
+        return run(["recommend", "--corpus", corpus_path, "--mindmaps", maps_dir,
+                    "--user", user, "--seed", 1, "--now", now, *extra])
+
     @pytest.mark.parametrize("name, data", [
         ("m__revx.mm", b'<map><node ID="a"/></map>'),
         ("broken.mm", b"<map>\n"),
         ("events.csv", b"map_id,node_id,kind,at\nm,n,created,x\n"),
         ("m.mm", b'<map><node ID="a" CREATED="inf"/></map>'),
         ("m.mm", b'<map><node ID="a"><node ID="b" MODIFIED="1e999"/></node></map>'),
+        ("m.mm", b'<map><node ID="a"><node ID="b"/><node ID="a"/></node></map>'),
+        ("m.mm", f'<map><node ID="{_synthetic_id((0, 0))}"><node/></node></map>'.encode()),
+        ("m.mm", b'<mindmap><node ID="a"/></mindmap>'),
+        ("m.mm", b'<map><node ID="a"/><node ID="b"/></map>'),
+        ("m.mm", b"<map><richcontent/></map>"),
     ], ids=["non_numeric_revision", "unclosed_map", "bad_sidecar_row",
-            "infinite_created", "overflowing_modified"])
+            "infinite_created", "overflowing_modified", "duplicate_node_id",
+            "duplicate_synthetic_id", "root_not_map", "two_top_level_nodes",
+            "no_top_level_node"])
     def test_bad_map_file_named(self, tmp_path, capsys, name, data):
-        _, maps_dir, _ = write_cli_fixture(tmp_path, n_users=2)
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
         bad = maps_dir / "user01" / name
         bad.write_bytes(data)
         with pytest.raises(MindrecError, match=re.escape(str(bad))):
             cli.load_user_collections(maps_dir)
         assert run(["ingest-mindmaps", "--mindmaps", maps_dir]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        # recommend reads user01 for its links only, and stops the same way
+        assert self._recommend(corpus_path, maps_dir, now) == 1
+        assert capsys.readouterr().err == err
 
     def test_clashing_revision_numbers_named(self, tmp_path, capsys):
-        _, maps_dir, _ = write_cli_fixture(tmp_path, n_users=2)
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
         user_dir = maps_dir / "user01"
         for name in ("clash.mm", "clash__rev1.mm"):
             (user_dir / name).write_bytes(b'<map><node ID="a"/></map>')
         assert run(["ingest-mindmaps", "--mindmaps", maps_dir]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {user_dir}: map 'clash': revision 1 after 1")
+        assert self._recommend(corpus_path, maps_dir, now) == 1
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("user", ["user00", "user01", "user02"])
+    def test_first_bad_user_in_sorted_order_wins(self, tmp_path, capsys, user):
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=3)
+        (maps_dir / "user02" / "m.mm").write_bytes(b"<map>\n")
+        bad = maps_dir / "user01" / "m.mm"
+        bad.write_bytes(b'<map><node ID="a" CREATED="nan"/></map>')
+        assert self._recommend(corpus_path, maps_dir, now, user) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    @pytest.mark.parametrize("user, config_text", [("ghost", None), ("user00", "node_limt = 5\n")],
+                             ids=["unknown_user", "bad_config"])
+    def test_map_error_wins(self, tmp_path, capsys, user, config_text):
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        extra = []
+        if config_text:
+            extra = ["--config", tmp_path / "bad.cfg"]
+            extra[1].write_text(config_text)
+        bad = maps_dir / "user01" / "m.mm"
+        bad.write_bytes(b'<map><node ID="a"><node ID="a"/></node></map>')
+        assert self._recommend(corpus_path, maps_dir, now, user, *extra) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: duplicate node id 'a'")
+
+    def test_within_a_user_the_first_fault_wins(self, tmp_path, capsys):
+        # a bad timestamp anywhere in a file wins over a duplicate id that
+        # comes before it, and a map file wins over the sidecar
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        user_dir = maps_dir / "user01"
+        (user_dir / "events.csv").write_bytes(b"map_id,node_id,kind,at\nm,n,created,x\n")
+        bad = user_dir / "m.mm"
+        bad.write_bytes(b'<map><node ID="a"><node ID="a"/><node ID="b" CREATED="inf"/></node></map>')
+        assert run(["ingest-mindmaps", "--mindmaps", maps_dir]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: CREATED='inf' is not a finite number\n"
+        assert self._recommend(corpus_path, maps_dir, now) == 1
+        assert capsys.readouterr().err == err

@@ -1,11 +1,13 @@
 import math
 import random
 import re
+from collections import Counter
 
 import pytest
 
 from mindrec.corpus import Corpus, citation_feature, cleantitle, document_id, load_corpus_jsonl
 from mindrec.errors import EmptyTitle, MalformedRow, MindrecError
+from mindrec.text import tokenize
 from mindrec.usermodel import extract_features
 
 from conftest import WORDS, node, single_map_collection, small_corpus
@@ -116,6 +118,89 @@ class TestResolveIngest:
         assert total == sum(corpus.documents[doc].terms.values())
 
 
+class ReferenceIndex:
+    """A straightforward index builder, for comparison with `Corpus`:
+    a character-filter cleantitle, a Counter difference on every ingest
+    and `setdefault` postings."""
+
+    def __init__(self):
+        self.documents, self.cleantitle_index = {}, {}
+        self.term_index, self.citation_index = {}, {}
+
+    @staticmethod
+    def cleantitle(title):
+        normalized = "".join(ch for ch in title.lower() if "a" <= ch <= "z")
+        return title if len(normalized) * 2 < len(title) else normalized
+
+    def resolve(self, title):
+        key = self.cleantitle(title)
+        if key not in self.cleantitle_index:
+            doc_id = f"doc_{len(self.documents) + 1}"
+            self.documents[doc_id] = [doc_id, title, key, Counter(), []]
+            self.cleantitle_index[key] = doc_id
+        return self.cleantitle_index[key]
+
+    def ingest(self, title, body_terms, citations):
+        doc_id = self.resolve(title)
+        doc = self.documents[doc_id]
+        doc[1] = title
+        ordinal = list(self.documents).index(doc_id)
+        counts = Counter(tokenize(title))
+        counts.update(t.lower() for t in body_terms)
+        added = counts - doc[3]
+        doc[3].update(added)
+        for term, n in added.items():
+            postings = self.term_index.setdefault(term, {})
+            postings[ordinal] = postings.get(ordinal, 0) + n
+        for reference in citations:
+            cited = self.resolve(reference)
+            if cited not in doc[4]:
+                doc[4].append(cited)
+                self.citation_index.setdefault(cited, {})[ordinal] = 1
+
+    def state(self):
+        return ([(d[0], d[1], d[2], list(d[3].items()), d[4]) for d in self.documents.values()],
+                list(self.cleantitle_index.items()),
+                [(k, list(v.items())) for k, v in self.term_index.items()],
+                [(k, list(v.items())) for k, v in self.citation_index.items()])
+
+
+def index_state(corpus):
+    """Every index of a corpus as lists, so that order counts in comparisons."""
+    return ([(d.doc_id, d.title, d.cleantitle, list(d.terms.items()), d.cited_ids)
+             for d in corpus.documents.values()],
+            list(corpus.cleantitle_index.items()),
+            [(k, list(v.items())) for k, v in corpus.term_index.items()],
+            [(k, list(v.items())) for k, v in corpus.citation_index.items()])
+
+
+class TestIngestAgainstReference:
+    # merge on cleantitle, non-Latin titles that keep themselves, titles
+    # with no token of two letters or more
+    BASES = ["Deep Search", "deep search!", "DEEP-SEARCH", "Quantum Flux", "quantum  flux 2",
+             "量子计算综述", "Ωμέγα θεωρία", "Ωμέγα θεωρία x", "a-b", "x y z", "?!", "Çа́fé"]
+
+    def _title(self, rng):
+        if rng.random() < 0.5:
+            return rng.choice(self.BASES)
+        return " ".join(rng.choice(WORDS[:12]) for _ in range(rng.randint(1, 3)))
+
+    def test_same_index_state_as_reference(self):
+        rng = random.Random(12)
+        for _ in range(150):
+            corpus, reference = Corpus(), ReferenceIndex()
+            for _ in range(rng.randint(1, 25)):
+                title = self._title(rng)
+                # re-ingests add body terms to what the title already has
+                terms = [rng.choice(WORDS[:10]).upper() if rng.random() < 0.2
+                         else rng.choice(WORDS[:10]) for _ in range(rng.randint(0, 6))]
+                # citations often name titles not ingested yet
+                cites = [self._title(rng) for _ in range(rng.choice([0, 0, 1, 3]))]
+                corpus.ingest_document(title, body_terms=terms, citations=cites)
+                reference.ingest(title, terms, cites)
+            assert index_state(corpus) == reference.state()
+
+
 def brute_force_scores(corpus, features):
     """Index-free oracle: per-document dot product over raw bags."""
     n = len(corpus.documents)
@@ -141,23 +226,23 @@ def brute_force_scores(corpus, features):
 
 
 class TestFreeze:
-    def _collections(self):
+    def _links(self):
         cited = node("r", "root", link="Zeta Ghost", children=[
             node("n1", "known", link="quantum flux paradigm!"),
             node("n2", "again", link="ZETA GHOST")])
         return {
-            "user_b": single_map_collection("user_b", cited),
+            "user_b": single_map_collection("user_b", cited).links(),
             "user_a": single_map_collection(
-                "user_a", node("r", "root", children=[node("n", "x", link="Alpha Ghost")])),
+                "user_a", node("r", "root", children=[node("n", "x", link="Alpha Ghost")])).links(),
         }
 
     def test_mints_each_link_once_in_sorted_user_order(self):
         corpus = small_corpus()
-        corpus.freeze(self._collections())
+        corpus.freeze(self._links())
         assert (corpus.lookup("Alpha Ghost"), corpus.lookup("zeta ghost")) == ("doc_4", "doc_5")
         assert corpus.lookup("Quantum Flux Paradigm") == "doc_1"
         assert len(corpus) == 5
-        corpus.freeze(self._collections())
+        corpus.freeze(self._links())
         assert len(corpus) == 5
 
     def test_lookup_of_unminted_title_raises(self):

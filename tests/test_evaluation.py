@@ -86,7 +86,7 @@ class TestOfflineEvaluate:
                                body_terms=["elsewhere", "work"])
         collection = user_with_citation("Some Uningested Reference",
                                         ["zorblax quuxify", "grobnik"], now)
-        corpus.freeze({"u": collection})
+        corpus.freeze({"u": collection.links()})
         result = offline_evaluate_user(collection, corpus, simple_config())
         assert result.target_rank is None
         assert (result.p_at_3, result.p_at_10, result.mrr_term) == (0, 0, 0.0)
@@ -106,7 +106,7 @@ class TestOfflineEvaluate:
         corpus.ingest_document("Padding Doc", body_terms=["padding"])
         collection = user_with_citation("Uningested Target",
                                         ["zorblax"], now)
-        corpus.freeze({"u": collection})
+        corpus.freeze({"u": collection.links()})
         result = offline_evaluate_user(collection, corpus, simple_config())
         assert result.target_rank is None  # "afterwards added" never queried
 

@@ -12,9 +12,9 @@ A change that keeps the outputs leaves this table alone.  A change that
 alters an output on purpose edits the entries it changes, in the same
 commit, and says which and why.
 
-Every command reads the maps and the event log through
-`cli.load_user_collections` and `cli.replay_event_log`, and none
-changes what they return, so the module parses each input once.
+`offline-eval` reads the maps through `cli.load_user_collections` and
+the online commands read the event log through `cli.replay_event_log`;
+none changes what they return, so the module parses each of them once.
 """
 
 import contextlib
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from mindrec import cli, experiment, matching
+from mindrec import cli, experiment, matching, mindmap
 from mindrec.corpus import load_corpus_jsonl
 from mindrec.errors import NoPositiveFeatures
 
@@ -90,7 +90,7 @@ def _pools_repr(inputs):
     """repr of [(user_id, pool or None)] for the sampled rich users."""
     corpus = load_corpus_jsonl(inputs / "corpus.jsonl")
     collections = cli.load_user_collections(str(inputs / "mindmaps"))
-    corpus.freeze(collections)
+    corpus.freeze({u: c.links() for u, c in collections.items()})
     config = experiment.preset("docear_combined")
     config.store_weights = True
     pools = []
@@ -104,15 +104,22 @@ def _pools_repr(inputs):
 
 
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory):
+def rich(tmp_path_factory):
+    """The seed-1 rich inputs."""
+    rich = tmp_path_factory.mktemp("rich")
+    gen.make_rich(SEED, rich)
+    return rich
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory, rich):
     """{output name: sha256} of every output of the commands."""
     base = tmp_path_factory.mktemp("golden")
-    rich, online, out = base / "rich", base / "online", base / "out"
-    for directory in (rich, online, out / "offline", out / "recommend"):
+    online, out = base / "online", base / "out"
+    for directory in (online, out / "offline", out / "recommend"):
         directory.mkdir(parents=True)
-    gen.make_rich(SEED, rich)
     gen.make_online(SEED, online)
-    space = rich / "space.txt"
+    space = base / "space.txt"
     space.write_text(gen.SPACE_TEXT, encoding="utf-8")
     common = ["--corpus", rich / "corpus.jsonl", "--mindmaps", rich / "mindmaps",
               "--seed", SEED, "--now", gen.NOW]
@@ -152,3 +159,37 @@ def test_every_output_has_an_entry(digests):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_is_golden(digests, name):
     assert digests[name] == GOLDEN[name]
+
+
+def test_recommend_reads_other_users_for_links_only(rich, tmp_path, monkeypatch):
+    """`recommend` builds MindMaps for the requested user only, and leaves
+    the corpus as `freeze` over every user's full collection does."""
+    full = load_corpus_jsonl(rich / "corpus.jsonl")
+    n_ingested = len(full)
+    collections = cli.load_user_collections(rich / "mindmaps")
+    full.freeze({user_id: c.links() for user_id, c in collections.items()})
+    assert len(full) > n_ingested   # the maps link titles the corpus lacks
+
+    corpora, built = [], []
+
+    def recorded_load(path):
+        corpora.append(load_corpus_jsonl(path))
+        return corpora[-1]
+
+    def counted_init(self, map_id, *args, **kwargs):
+        built.append((map_id, kwargs.get("revision")))
+        init(self, map_id, *args, **kwargs)
+
+    init = mindmap.MindMap.__init__
+    monkeypatch.setattr(cli, "load_corpus_jsonl", recorded_load)
+    monkeypatch.setattr(mindmap.MindMap, "__init__", counted_init)
+    user = random.Random("golden:recommend").choice(sorted(collections))
+    _run("recommend", "--corpus", rich / "corpus.jsonl", "--mindmaps", rich / "mindmaps",
+         "--seed", SEED, "--now", gen.NOW, "--user", user, "--out", tmp_path / "rec.csv")
+
+    corpus, = corpora
+    assert list(corpus.documents) == list(full.documents)
+    assert list(corpus.cleantitle_index.items()) == list(full.cleantitle_index.items())
+    own = [(m.map_id, m.revision) for chain in collections[user].revisions.values()
+           for m in chain]
+    assert len(own) > 1 and sorted(built) == sorted(own)

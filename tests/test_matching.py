@@ -172,7 +172,7 @@ class TestNoModel:
                 "r", "quantum flux", created_at=now - 10 * DAY_MS,
                 children=[node("a", "neural network", created_at=now - 9 * DAY_MS), cite]))
         corpus = small_corpus()
-        corpus.freeze({"u": evaluated})
+        corpus.freeze({"u": evaluated.links()})
         config = preset("docear_combined")
 
         reasons = []
