@@ -80,10 +80,6 @@ class MindMap:
         self.node(node_id)
         return self._index[node_id]
 
-    def links(self):
-        """The nodes' links in walk order."""
-        return [node.link for node in self._by_id.values() if node.link]
-
 
 def _synthetic_id(path):
     digest = hashlib.sha1("/".join(str(i) for i in path).encode()).hexdigest()
@@ -314,7 +310,8 @@ class MindMapCollection:
 
     def links(self):
         """The links of the latest maps, maps in order, nodes in walk order."""
-        return [link for mindmap in self.latest_maps() for link in mindmap.links()]
+        return [node.link for mindmap in self.latest_maps()
+                for node in mindmap._by_id.values() if node.link]
 
     def is_empty(self):
         return not self.revisions
