@@ -20,8 +20,8 @@ from .errors import (InconsistentRevisions, InvalidConfig, InvariantViolation,
                      MalformedInput, MindrecError, NoCitations, UnknownTitle)
 from .evaluation import RecEvent, SetRating
 from .matching import RecommendationItem, RecommendationSet
-from .mindmap import (MindMapCollection, check_revisions, parse_mindmap,
-                      read_event_log, read_map_links, revision_chains)
+from .mindmap import (MindMapCollection, parse_mindmap, read_event_log, read_map_links,
+                      revision_chains)
 from .rows import csv_row_of, read_csv, read_jsonl, read_text
 
 # metrics --group-by: the user of an event, or a scalar field of its set
@@ -39,9 +39,8 @@ def _read_user(user_dir, read_map):
 
     File stem is the map id; an optional `__rev<N>` suffix marks later
     revisions.  A map or sidecar that cannot be read raises a MindrecError
-    naming it; without a sidecar, events are derived from the revisions,
-    and two revisions of a map with one number raise InconsistentRevisions
-    naming the directory.
+    naming it; then, with or without a sidecar, two revisions of a map
+    with one number raise InconsistentRevisions naming the directory.
     """
     revisions = []
     for path in sorted(user_dir.glob("*.mm")):
@@ -53,13 +52,10 @@ def _read_user(user_dir, read_map):
             raise MalformedInput(f"{path}: {exc}") from exc
     sidecar = user_dir / "events.csv"
     events = read_event_log(sidecar) if sidecar.exists() else None
-    chains = revision_chains(revisions)
-    if events is None:
-        try:
-            for chain in chains.values():
-                check_revisions(chain)
-        except InconsistentRevisions as exc:
-            raise InconsistentRevisions(f"{user_dir}: {exc}") from exc
+    try:
+        chains = revision_chains(revisions)
+    except InconsistentRevisions as exc:
+        raise InconsistentRevisions(f"{user_dir}: {exc}") from exc
     return chains, events
 
 

@@ -37,7 +37,14 @@ class NodeEvent:
 
 
 class MindMap:
-    """A parsed mind map plus the derived structural indexes."""
+    """A parsed mind map plus the derived structural indexes.
+
+    `_by_id` holds the nodes in pre-order (a node before its children,
+    children in order), and `_parent`, `_depth` and `_index` hold each
+    node's parent id (None for the root), distance from the root and
+    position among its siblings.  Link order, copying and serializing
+    rely on that order: a node's parent always comes before it.
+    """
 
     def __init__(self, map_id, root, revision=1, saved_at=0):
         self.map_id = map_id
@@ -48,17 +55,18 @@ class MindMap:
         self._parent = {}
         self._depth = {}
         self._index = {}
-        self._walk(root, None, 0, 0)
-
-    def _walk(self, node, parent_id, depth, index):
-        if node.id in self._by_id:
-            raise MalformedInput(f"duplicate node id {node.id!r} in map {self.map_id!r}")
-        self._by_id[node.id] = node
-        self._parent[node.id] = parent_id
-        self._depth[node.id] = depth
-        self._index[node.id] = index
-        for i, child in enumerate(node.children):
-            self._walk(child, node.id, depth + 1, i)
+        stack = [(root, None, 0, 0)]
+        while stack:
+            node, parent_id, depth, index = stack.pop()
+            if node.id in self._by_id:
+                raise MalformedInput(f"duplicate node id {node.id!r} in map {self.map_id!r}")
+            self._by_id[node.id] = node
+            self._parent[node.id] = parent_id
+            self._depth[node.id] = depth
+            self._index[node.id] = index
+            children = node.children
+            for i in range(len(children) - 1, -1, -1):  # last first, so they pop in order
+                stack.append((children[i], node.id, depth + 1, i))
 
     def __contains__(self, node_id):
         return node_id in self._by_id
@@ -96,7 +104,7 @@ def _timestamp(attrs, name):
 
 
 def _walk_map(data, map_id, visit):
-    """Check a map's markup and visit each of its nodes in walk order.
+    """Check a map's markup and visit each of its nodes in pre-order.
 
     `visit(attrs, node_id, created_at, modified_at, parent)` gets a node
     element's attributes, its id (a synthetic one from its position when
@@ -119,8 +127,9 @@ def _walk_map(data, map_id, visit):
     if len(roots) != 1:
         raise NoRoot(f"expected exactly one top-level node, found {len(roots)}")
     seen, repeated = set(), []
-
-    def walk(elem, path, parent):
+    stack = [(roots[0], (0,), None)]
+    while stack:
+        elem, path, parent = stack.pop()
         attrs = elem.attrib
         node_id = attrs.get("ID") or _synthetic_id(path)
         if node_id in seen:
@@ -128,14 +137,11 @@ def _walk_map(data, map_id, visit):
         seen.add(node_id)
         made = visit(attrs, node_id, _timestamp(attrs, "CREATED"),
                      _timestamp(attrs, "MODIFIED"), parent)
-        child_index = 0
-        for child in elem:
-            if child.tag == "node":
-                walk(child, path + (child_index,), made)
-                child_index += 1
-        return made
-
-    root = walk(roots[0], (0,), None)
+        if path == (0,):
+            root = made
+        kids = elem.findall("node")
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((kids[i], path + (i,), made))
     if repeated:
         raise MalformedInput(f"duplicate node id {repeated[0]!r} in map {map_id!r}")
     return root
@@ -159,7 +165,7 @@ def parse_mindmap(data, map_id="map", revision=1, saved_at=None):
     return mindmap
 
 
-# The links of one map revision's nodes, in walk order.  A namedtuple, as
+# The links of one map revision's nodes, in pre-order.  A namedtuple, as
 # a dataclass would add about a millisecond to every command's start.
 MapLinks = namedtuple("MapLinks", "map_id revision links")
 
@@ -180,9 +186,9 @@ def read_map_links(data, map_id="map", revision=1):
 
 def serialize_mindmap(mindmap):
     """Write a MindMap back to the XML dialect (round-trip stable)."""
-
-    def emit(node):
-        elem = ET.Element("node", ID=node.id)
+    elems = {None: ET.Element("map")}  # by node id; None, the root's parent, is the map
+    for node_id, node in mindmap._by_id.items():
+        elem = elems[node_id] = ET.SubElement(elems[mindmap._parent[node_id]], "node", ID=node_id)
         if node.text:
             elem.set("TEXT", node.text)
         if node.folded:
@@ -193,13 +199,7 @@ def serialize_mindmap(mindmap):
             elem.set("CREATED", str(node.created_at))
         if node.modified_at:
             elem.set("MODIFIED", str(node.modified_at))
-        for child in node.children:
-            elem.append(emit(child))
-        return elem
-
-    root = ET.Element("map")
-    root.append(emit(mindmap.root))
-    return ET.tostring(root, encoding="utf-8")
+    return ET.tostring(elems[None], encoding="utf-8")
 
 
 def node_depth(mindmap, node_id):
@@ -229,36 +229,31 @@ def node_stats(mindmap, node_id):
 
 def revision_chains(revisions):
     """{map_id: [revision, ...]} of MindMaps or MapLinks, map ids in order of
-    first appearance, each chain sorted by revision number (stable)."""
+    first appearance, each chain sorted by revision number.  Raises
+    InconsistentRevisions when two revisions of a map share a number."""
     chains = {}
     for rev in revisions:
         chains.setdefault(rev.map_id, []).append(rev)
     for chain in chains.values():
         chain.sort(key=lambda m: m.revision)
+        for prev, cur in zip(chain, chain[1:]):
+            if cur.revision == prev.revision:
+                raise InconsistentRevisions(f"map {cur.map_id!r}: revision {cur.revision} "
+                                            f"after {prev.revision}")
     return chains
 
 
-def check_revisions(chain):
-    """Raise InconsistentRevisions unless a chain is of one map id, in
-    strictly increasing revision numbers."""
-    for prev, cur in zip(chain, chain[1:]):
-        if cur.map_id != prev.map_id:
-            raise InconsistentRevisions("revisions mix map ids")
-        if cur.revision <= prev.revision:
-            raise InconsistentRevisions(f"map {cur.map_id!r}: revision {cur.revision} "
-                                        f"after {prev.revision}")
-
-
-def derive_events(revisions):
-    """Reconstruct created/edited/moved events from a revision chain.
+def derive_events(chain):
+    """Reconstruct created/edited/moved events from one map's revision
+    chain, as `revision_chains` returns it.
 
     Diffs consecutive revisions by node id; position is the (parent id,
-    sibling index) pair.  A sidecar event log, when available, should be
+    sibling index) pair.  Events come in chain order, each revision's
+    nodes in pre-order.  A sidecar event log, when available, should be
     preferred over this reconstruction.
     """
-    check_revisions(revisions)
     events = []
-    for prev, cur in zip(revisions, revisions[1:]):
+    for prev, cur in zip(chain, chain[1:]):
         at = cur.saved_at
         for node_id in cur.node_ids():
             if node_id not in prev:
@@ -272,7 +267,6 @@ def derive_events(revisions):
             )
             if moved:
                 events.append(NodeEvent(cur.map_id, node_id, "moved", at))
-    events.sort(key=lambda e: (e.at, e.map_id, e.node_id, e.kind))
     return events
 
 
@@ -280,7 +274,8 @@ class MindMapCollection:
     """All of one user's mind maps (with revision history) plus events."""
 
     def __init__(self, user_id, revisions, events=None):
-        """`revisions`: iterable of MindMap, grouped internally by map_id.
+        """`revisions`: iterable of MindMap, grouped by `revision_chains`,
+        which raises InconsistentRevisions when a map repeats a revision number.
 
         When `events` is None they are derived from the revision chains;
         an explicit event log (the canonical source) overrides derivation.
@@ -309,7 +304,7 @@ class MindMapCollection:
         return [chain[-1] for chain in self.revisions.values()]
 
     def links(self):
-        """The links of the latest maps, maps in order, nodes in walk order."""
+        """The links of the latest maps, maps in order, nodes in pre-order."""
         return [node.link for mindmap in self.latest_maps()
                 for node in mindmap._by_id.values() if node.link]
 
@@ -333,15 +328,16 @@ def copy_mindmap(mindmap, drop_node_ids=(), strip_link_ids=()):
     """Deep copy, removing the given subtrees and clearing the given links."""
     drop = set(drop_node_ids)
     strip = set(strip_link_ids)
-
-    def clone(node):
-        if node.id in drop:
-            return None
-        kids = [c for c in (clone(child) for child in node.children) if c is not None]
-        link = None if node.id in strip else node.link
-        return replace(node, link=link, children=kids)
-
-    root = clone(mindmap.root)
-    if root is None:
+    top = MindNode("")  # holds the copied root, if any
+    clones = {None: top}
+    for node_id, node in mindmap._by_id.items():
+        parent = clones.get(mindmap._parent[node_id])
+        if parent is None or node_id in drop:
+            continue
+        clone = clones[node_id] = replace(node, link=None if node_id in strip else node.link,
+                                          children=[])
+        parent.children.append(clone)
+    if not top.children:
         raise NoRoot(f"pruning removed the root of map {mindmap.map_id!r}")
-    return MindMap(mindmap.map_id, root, revision=mindmap.revision, saved_at=mindmap.saved_at)
+    return MindMap(mindmap.map_id, top.children[0], revision=mindmap.revision,
+                   saved_at=mindmap.saved_at)

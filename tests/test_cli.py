@@ -10,7 +10,7 @@ from mindrec.corpus import load_corpus_jsonl
 from mindrec.errors import InvariantViolation, MalformedRow, MindrecError
 from mindrec.mindmap import MindMap, _synthetic_id, serialize_mindmap
 
-from conftest import DAY_MS, node, write_cli_fixture
+from conftest import DAY_MS, WORDS, node, write_cli_fixture
 
 
 def run(argv):
@@ -664,6 +664,39 @@ class TestIngestCommands:
         assert err.startswith(f"error: {user_dir}: map 'clash': revision 1 after 1")
         assert self._recommend(corpus_path, maps_dir, now) == 1
         assert capsys.readouterr().err == err
+        # a sidecar event log does not lift the rule
+        sidecar = user_dir / "events.csv"
+        sidecar.write_text("map_id,node_id,kind,at\nclash,a,created,1\n")
+        assert run(["ingest-mindmaps", "--mindmaps", maps_dir]) == 1
+        assert capsys.readouterr().err == err
+        assert self._recommend(corpus_path, maps_dir, now) == 1
+        assert capsys.readouterr().err == err
+        # and a sidecar that cannot be read is reported first
+        sidecar.write_text("map_id,node_id,kind,at\nclash,a,created,x\n")
+        assert run(["ingest-mindmaps", "--mindmaps", maps_dir]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {sidecar}: ")
+
+    def test_deep_map_read(self, tmp_path, capsys):
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        titles = [json.loads(line)["title"] for line in corpus_path.read_text().splitlines()]
+        depth, start = 1_500, now - 20 * DAY_MS
+        opens = "".join(
+            f'<node ID="deep{i}" TEXT="{WORDS[i % len(WORDS)]}" CREATED="{start + i}"'
+            + (f' LINK="{titles[i % len(titles)]}">' if i in (700, 1_400) else ">")
+            for i in range(depth))
+        (maps_dir / "user00" / "deep.mm").write_text(f"<map>{opens}{'</node>' * depth}</map>")
+        assert run(["ingest-mindmaps", "--mindmaps", maps_dir]) == 0
+        assert "user00: 2 maps, 1510 nodes" in capsys.readouterr().out
+        # user00 is built in full; as user01 asks, user00 is read for its links
+        for user in ("user00", "user01"):
+            assert self._recommend(corpus_path, maps_dir, now, user) == 0
+        out = tmp_path / "offline.csv"
+        assert run(["offline-eval", "--corpus", corpus_path, "--mindmaps", maps_dir,
+                    "--seed", 3, "--now", now, "--preset", "all_maps_all_terms",
+                    "--out", out]) == 0
+        users = [row["user_id"] for row in csv.DictReader(out.read_text().splitlines())]
+        assert users == ["user00", "user01"]
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("user", ["user00", "user01", "user02"])
     def test_first_bad_user_in_sorted_order_wins(self, tmp_path, capsys, user):

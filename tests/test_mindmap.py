@@ -1,4 +1,5 @@
 import random
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -14,12 +15,16 @@ from mindrec.mindmap import (
     MindMapCollection,
     MindNode,
     NodeEvent,
+    _synthetic_id,
+    copy_mindmap,
     derive_events,
     is_visible,
     node_depth,
     node_stats,
     parse_mindmap,
     read_event_log,
+    read_map_links,
+    revision_chains,
     serialize_mindmap,
 )
 
@@ -236,7 +241,7 @@ class TestDeriveEvents:
         r1 = self._rev(node("r"), 2, 10)
         r2 = self._rev(node("r"), 2, 20)
         with pytest.raises(InconsistentRevisions):
-            derive_events([r1, r2])
+            revision_chains([r1, r2])
 
     def test_event_completeness(self):
         r1 = self._rev(node("r", "a"), 1, 10)
@@ -266,3 +271,131 @@ class TestEventLog:
         explicit = [NodeEvent("m", "r", "created", 999)]
         collection = MindMapCollection("u", [m], events=explicit)
         assert collection.events == explicit
+
+
+class TestDeepMaps:
+    def test_chain_deeper_than_the_recursion_limit(self):
+        nodes = [node(f"n{i}", link=f"Title {i}" if i in (700, 1_400) else None)
+                 for i in range(1_500)]
+        for parent, child in zip(nodes, nodes[1:]):
+            parent.children.append(child)
+        m = MindMap("deep", nodes[0])
+        assert m.node_ids() == [f"n{i}" for i in range(1_500)]
+        assert node_depth(m, "n1499") == 1_499
+        assert m.parent_id("n1499") == "n1498"
+        pruned = copy_mindmap(m, drop_node_ids={"n1000"}, strip_link_ids={"n700"})
+        assert pruned.node_ids() == [f"n{i}" for i in range(1_000)]
+        assert pruned.node("n700").link is None and m.node("n700").link == "Title 700"
+        assert MindMapCollection("u", [copy_mindmap(m)]).links() == ["Title 700", "Title 1400"]
+
+    def test_deep_markup(self):
+        depth = 1_500
+        data = "<map>" + "".join(
+            f'<node ID="n{i}" LINK="Title {i}">' if i in (700, 1_400) else "<node>"
+            for i in range(depth)) + "</node>" * depth + "</map>"
+        m = parse_mindmap(data)
+        assert len(m.node_ids()) == depth
+        assert node_depth(m, "n1400") == 1_400
+        assert read_map_links(data).links == ["Title 700", "Title 1400"]
+
+
+# Recursive references for the walks in mindmap.py, which keep an explicit
+# stack so that no map is too deep to read.  Each follows the definition:
+# a node, then each of its `node` children in turn.
+
+def _reference_walk(data):
+    """(id, parent id, depth, sibling index, link) of each node of markup,
+    in pre-order; a node without ID is named by its path of indexes among
+    `node` children."""
+    rows = []
+
+    def walk(elem, path, parent_id):
+        node_id = elem.get("ID") or _synthetic_id(path)
+        rows.append((node_id, parent_id, len(path) - 1, path[-1], elem.get("LINK")))
+        for i, kid in enumerate(kid for kid in elem if kid.tag == "node"):
+            walk(kid, path + (i,), node_id)
+
+    walk(ET.fromstring(data).find("node"), (0,), None)
+    return rows
+
+
+def _reference_ids(node):
+    return [node.id] + [i for child in node.children for i in _reference_ids(child)]
+
+
+def _reference_copy(node, drop, strip):
+    if node.id in drop:
+        return None
+    kids = [kid for kid in (_reference_copy(child, drop, strip) for child in node.children)
+            if kid is not None]
+    return MindNode(node.id, node.text, None if node.id in strip else node.link,
+                    node.folded, kids, node.created_at, node.modified_at)
+
+
+def _reference_serialize(mindmap):
+    def emit(node):
+        elem = ET.Element("node", ID=node.id)
+        for name, value in (("TEXT", node.text), ("FOLDED", "true" if node.folded else ""),
+                            ("LINK", node.link), ("CREATED", node.created_at or ""),
+                            ("MODIFIED", node.modified_at or "")):
+            if value:
+                elem.set(name, str(value))
+        elem.extend(emit(child) for child in node.children)
+        return elem
+
+    root = ET.Element("map")
+    root.append(emit(mindmap.root))
+    return ET.tostring(root, encoding="utf-8")
+
+
+def _random_markup(rng, n_nodes):
+    """Map markup of a random tree: some nodes without ID, some folded,
+    some linked, with other elements among the `node` children."""
+    kids = [[] for _ in range(n_nodes)]
+    for i in range(1, n_nodes):
+        kids[rng.randrange(i)].append(i)
+
+    def emit(i):
+        attrs = "" if rng.random() < 0.3 else f' ID="n{i}"'
+        attrs += f' TEXT="t{rng.randrange(5)}"'
+        if rng.random() < 0.2:
+            attrs += ' FOLDED="true"'
+        if rng.random() < 0.3:
+            attrs += f' LINK="Paper {rng.randrange(10)}"'
+        if rng.random() < 0.5:
+            attrs += f' CREATED="{rng.randrange(1, 10 ** 6)}"'
+        if rng.random() < 0.5:
+            attrs += f' MODIFIED="{rng.randrange(1, 10 ** 6)}"'
+        inner = [emit(kid) for kid in kids[i]]
+        if rng.random() < 0.3:
+            inner.insert(rng.randrange(len(inner) + 1), '<icon BUILTIN="idea"/>')
+        return f"<node{attrs}>{''.join(inner)}</node>"
+
+    return f"<map>{emit(0)}</map>"
+
+
+class TestWalksMatchRecursiveReference:
+    def test_random_trees(self):
+        rng = random.Random(13)
+        for trial in range(200):
+            data = _random_markup(rng, rng.randrange(1, 60))
+            m = parse_mindmap(data, map_id=f"m{trial}")
+            rows = _reference_walk(data)
+            assert m.node_ids() == [row[0] for row in rows]
+            assert [(m.parent_id(i), node_depth(m, i), m.child_index(i), m.node(i).link)
+                    for i in m.node_ids()] == [row[1:] for row in rows]
+            assert read_map_links(data).links == [row[4] for row in rows if row[4]]
+            assert serialize_mindmap(m) == _reference_serialize(m)
+
+            ids = m.node_ids()
+            drop = set(rng.sample(ids, rng.randrange(len(ids))))
+            strip = set(rng.sample(ids, rng.randrange(len(ids) + 1)))
+            expected = _reference_copy(m.root, drop, strip)
+            if expected is None:
+                with pytest.raises(NoRoot):
+                    copy_mindmap(m, drop, strip)
+                continue
+            pruned = copy_mindmap(m, drop, strip)
+            assert pruned.root == expected
+            assert pruned.node_ids() == _reference_ids(expected)
+            assert serialize_mindmap(pruned) == _reference_serialize(pruned)
