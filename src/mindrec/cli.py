@@ -15,7 +15,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import evaluation, experiment, matching
-from .corpus import load_corpus_jsonl
+from .corpus import cleantitle, load_corpus_jsonl
 from .errors import (InconsistentRevisions, InvalidConfig, InvariantViolation,
                      MalformedInput, MindrecError, NoCitations, UnknownTitle)
 from .evaluation import RecEvent, SetRating
@@ -61,8 +61,7 @@ def _read_user(user_dir, read_map):
 
 def _load_collection(user_dir):
     chains, events = _read_user(user_dir, parse_mindmap)
-    return MindMapCollection(user_dir.name, [m for chain in chains.values() for m in chain],
-                             events=events)
+    return MindMapCollection(user_dir.name, chains, events=events)
 
 
 def load_user_collections(mindmaps_dir):
@@ -211,7 +210,7 @@ def cmd_ingest_corpus(args):
     corpus = load_corpus_jsonl(args.corpus)
     if args.out:
         _write_csv(args.out, ["doc_id", "cleantitle"],
-                   ([doc_id, corpus.documents[doc_id].cleantitle]
+                   ([doc_id, cleantitle(corpus.documents[doc_id])]
                     for doc_id in sorted(corpus.documents)))
     print(f"ingested {len(corpus)} documents, "
           f"{len(corpus.term_index)} terms, {len(corpus.citation_index)} cited docs")
@@ -261,6 +260,9 @@ def cmd_offline_eval(args):
     if args.space:
         space = _parse_file(experiment.parse_space, args.space)
     config = None if space else _load_config(args)
+    if config is not None and config.preset_name == "stereotype":
+        raise InvalidConfig(f"{args.config or '--preset stereotype'}: the stereotype preset "
+                            "builds no user model; only recommend serves it")
 
     rows = []
     for user_id in sorted(collections):

@@ -9,7 +9,6 @@ import heapq
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .errors import EmptyTitle, UnknownTitle
 from .rows import read_jsonl
@@ -49,17 +48,12 @@ def cleantitle(title):
     return normalized
 
 
-@dataclass
-class Document:
-    doc_id: str
-    title: str
-    cleantitle: str
-    terms: Counter = field(default_factory=Counter)
-    cited_ids: list = field(default_factory=list)
-
-
 class Corpus:
     """Documents and their indexes.
+
+    `documents` maps each document id to its title; the document's
+    cleantitle is `cleantitle(title)`, its key in `cleantitle_index`.  The
+    postings are the only store of term counts and citations.
 
     `ingest_document` and `resolve_citation` mint a document for every
     unseen title, and `freeze` mints one for every title the users' maps
@@ -87,7 +81,7 @@ class Corpus:
         if doc_id is not None:
             return doc_id
         doc_id = document_id(len(self.documents))
-        self.documents[doc_id] = Document(doc_id, reference, key)
+        self.documents[doc_id] = reference
         self.cleantitle_index[key] = doc_id
         return doc_id
 
@@ -109,37 +103,30 @@ class Corpus:
         return doc_id
 
     def ingest_document(self, title, body_terms=None, citations=()):
-        """Insert a document, merging with any same-cleantitle record."""
+        """Insert a document, merging with any same-cleantitle record: the
+        last title is kept, each term's count is the larger of the
+        records', and citations form a set."""
         if not title:
             raise EmptyTitle("document title must be non-empty")
         doc_id = self.resolve_citation(title)
+        self.documents[doc_id] = title
         ordinal = _ordinal(doc_id)   # one int object shared by every posting
-        doc = self.documents[doc_id]
-        doc.title = title
 
-        term_counts = Counter([*tokenize(title), *(t.lower() for t in body_terms or ())])
-        if doc.terms:   # a merge: only the counts beyond the ones it has add postings
-            new_terms = term_counts - doc.terms
-            doc.terms.update(new_terms)
-        else:
-            doc.terms = new_terms = term_counts
         term_index = self.term_index
-        for term, n in new_terms.items():
+        for term, n in Counter([*tokenize(title), *(t.lower() for t in body_terms or ())]).items():
             postings = term_index.get(term)
             if postings is None:
                 term_index[term] = {ordinal: n}
-            else:
-                postings[ordinal] = postings.get(ordinal, 0) + n
+            elif postings.get(ordinal, 0) < n:
+                postings[ordinal] = n
 
         for reference in citations:
             cited = self.resolve_citation(reference)
-            if cited not in doc.cited_ids:
-                doc.cited_ids.append(cited)
-                postings = self.citation_index.get(cited)
-                if postings is None:
-                    self.citation_index[cited] = {ordinal: 1}
-                else:
-                    postings[ordinal] = 1
+            postings = self.citation_index.get(cited)
+            if postings is None:
+                self.citation_index[cited] = {ordinal: 1}
+            else:
+                postings[ordinal] = 1
         return doc_id
 
     def _postings(self, feature):
@@ -201,7 +188,7 @@ def load_corpus_jsonl(path):
         title = record.get("title") if isinstance(record, dict) else None
         if not isinstance(title, str) or not title:
             raise ValueError("record has no title")
-        terms, citations = record.get("terms") or [], record.get("citations") or []
+        terms, citations = record.get("terms", []), record.get("citations", [])
         if not _strings(terms) or not _strings(citations):
             raise ValueError("terms and citations must be lists of strings")
         corpus.ingest_document(title, body_terms=terms, citations=citations)

@@ -114,7 +114,8 @@ def offline_evaluate_user(collection, corpus, config):
     surviving = {(m.map_id, n) for m in pruned_maps for n in m.node_ids()}
     events = [e for e in collection.events
               if (e.map_id, e.node_id) in surviving and e.at <= target_at]
-    pruned = MindMapCollection(collection.user_id, pruned_maps, events=events)
+    pruned = MindMapCollection(collection.user_id, {m.map_id: [m] for m in pruned_maps},
+                               events=events)
 
     try:
         pool = retrieve_candidates(corpus, build_model(pruned, corpus, config, now=target_at))

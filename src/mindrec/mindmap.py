@@ -273,9 +273,8 @@ def derive_events(chain):
 class MindMapCollection:
     """All of one user's mind maps (with revision history) plus events."""
 
-    def __init__(self, user_id, revisions, events=None):
-        """`revisions`: iterable of MindMap, grouped by `revision_chains`,
-        which raises InconsistentRevisions when a map repeats a revision number.
+    def __init__(self, user_id, chains, events=None):
+        """`chains`: {map_id: [MindMap, ...]}, as `revision_chains` returns it.
 
         When `events` is None they are derived from the revision chains;
         an explicit event log (the canonical source) overrides derivation.
@@ -283,7 +282,7 @@ class MindMapCollection:
         event per node is synthesized from the node's created_at.
         """
         self.user_id = user_id
-        self.revisions = revision_chains(revisions)
+        self.revisions = chains
         if events is None:
             events = []
             for chain in self.revisions.values():

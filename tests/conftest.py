@@ -5,7 +5,7 @@ import random
 import pytest
 
 from mindrec.corpus import Corpus
-from mindrec.mindmap import MindMap, MindMapCollection, MindNode, NodeEvent
+from mindrec.mindmap import MindMap, MindMapCollection, MindNode, NodeEvent, revision_chains
 
 DAY_MS = 24 * 60 * 60 * 1000
 
@@ -40,7 +40,7 @@ def node(nid, text="", link=None, folded=False, children=(), created_at=0):
 
 
 def single_map_collection(user_id, root, map_id="m1", events=None):
-    return MindMapCollection(user_id, [MindMap(map_id, root)], events=events)
+    return MindMapCollection(user_id, revision_chains([MindMap(map_id, root)]), events=events)
 
 
 def figure_tree():
@@ -96,7 +96,7 @@ def scripted_collection(user_id="u_script", n_nodes=200, seed=7,
                 tick += 1_000_003
                 events.append(NodeEvent(map_id, node_id, "edited", tick))
     assert tick < now
-    return MindMapCollection(user_id, maps, events=events), now
+    return MindMapCollection(user_id, revision_chains(maps), events=events), now
 
 
 def small_corpus():

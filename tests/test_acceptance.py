@@ -26,10 +26,10 @@ from mindrec.usermodel import (
     node_weight,
     weight_features,
 )
-from mindrec.mindmap import MindMap, MindMapCollection, serialize_mindmap
+from mindrec.mindmap import MindMap, MindMapCollection, revision_chains, serialize_mindmap
 
 from conftest import DAY_MS, WORDS, node, scripted_collection, small_corpus
-from test_corpus import brute_force_scores
+from test_corpus import ReferenceIndex, brute_force_scores, ingest_both
 from test_evaluation import simple_config, user_with_citation
 from test_matching import make_user
 from test_usermodel import combined_oracle
@@ -104,20 +104,20 @@ def test_combined_algorithm_oracle():
 def test_retrieval_oracle():
     rng = random.Random(2024)
     for trial in range(200):
-        corpus = Corpus()
+        corpus, reference = Corpus(), ReferenceIndex()
         for i in range(rng.randint(2, 25)):
             terms = [rng.choice(WORDS) for _ in range(rng.randint(1, 6))]
             cites = []
             if corpus.documents and rng.random() < 0.4:
                 pick = rng.choice(sorted(corpus.documents))
-                cites = [corpus.documents[pick].title]
-            corpus.ingest_document(f"{rng.choice(WORDS)} {rng.choice(WORDS)} "
-                                   f"{rng.choice(WORDS)} {trial} {i}",
-                                   body_terms=terms, citations=cites)
+                cites = [corpus.documents[pick]]
+            ingest_both(corpus, reference, f"{rng.choice(WORDS)} {rng.choice(WORDS)} "
+                        f"{rng.choice(WORDS)} {trial} {i}", terms, cites)
+        assert list(reference.documents) == list(corpus.documents)
         query = [(rng.choice(WORDS), rng.choice([0.5, 1.0, 2.0]))
                  for _ in range(rng.randint(1, 5))]
         got = corpus.score_query(query)
-        expected = brute_force_scores(corpus, query)
+        expected = brute_force_scores(reference, query)
         assert [d for d, _ in got] == [d for d, _ in expected]
         assert all(a == pytest.approx(b, rel=1e-12)
                    for (_, a), (_, b) in zip(got, expected))
@@ -219,7 +219,7 @@ def test_sampling_statistics():
 def test_tf_iduf_laws():
     maps = [MindMap(f"m{i}", node(f"r{i}", "cancer cell biology"))
             for i in range(4)]
-    collection = MindMapCollection("u", maps)
+    collection = MindMapCollection("u", revision_chains(maps))
     weighted = dict(weight_features([("cancer", 3.0)], "tf_iduf",
                                     collection=collection))
     assert weighted["cancer"] == 0.0

@@ -479,11 +479,22 @@ class TestOfflineEvalCommand:
         (tmp_path / "stereotype.cfg").write_text("preset_name = stereotype\n"
                                                  "node_limit = 1\n")
         config = [tmp_path / a if a.endswith(".cfg") else a for a in config]
-        assert run(["offline-eval", "--corpus", corpus_path, "--mindmaps", maps_dir,
-                    "--seed", 3, "--now", now, *config,
-                    "--out", tmp_path / "o.csv"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "stereotype" in err
+        argv = ["offline-eval", "--corpus", corpus_path, "--mindmaps", maps_dir,
+                "--seed", 3, "--now", now, *config, "--out", tmp_path / "o.csv"]
+        named = f"{config[1]}: " if config[0] == "--config" else "--preset stereotype: "
+        for users_cite in (True, False):
+            if not users_cite:
+                for path in maps_dir.glob("*/*.mm"):
+                    path.write_bytes(serialize_mindmap(MindMap(path.stem, node("r", "quantum flux"))))
+            assert run(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {named}the stereotype preset builds no user model")
+            assert not (tmp_path / "o.csv").exists()
+        # a map fault still comes first
+        bad = maps_dir / "user01" / "bad.mm"
+        bad.write_bytes(b"<map>\n")
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
 class TestMissingInput:

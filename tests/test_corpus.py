@@ -51,7 +51,7 @@ class TestResolveIngest:
     def test_resolve_idempotent(self):
         corpus = Corpus()
         doc_id = corpus.resolve_citation("Some Known Work")
-        again = corpus.resolve_citation(corpus.documents[doc_id].title)
+        again = corpus.resolve_citation(corpus.documents[doc_id])
         assert again == doc_id
 
     def test_ingest_no_citations(self):
@@ -64,7 +64,7 @@ class TestResolveIngest:
         corpus = Corpus()
         a = corpus.ingest_document("Paper Alpha Topic")
         b = corpus.ingest_document("Paper Beta Topic", citations=["Paper Alpha Topic"])
-        assert corpus.documents[b].cited_ids == [a]
+        assert cited_by(corpus, b) == [a]
         # postings are keyed by the citing document's ordinal
         assert corpus.citation_index[a] == {list(corpus.documents).index(b): 1}
         assert [document_id(i) for i in corpus.citation_index[a]] == [b]
@@ -75,6 +75,17 @@ class TestResolveIngest:
         b = corpus.ingest_document("Same paper here!")
         assert a == b
         assert len(corpus) == 1
+
+    def test_merge_keeps_last_title_larger_counts_and_a_citation_set(self):
+        corpus = Corpus()
+        a = corpus.ingest_document("Same Paper Here", body_terms=["alpha", "beta", "beta"],
+                                   citations=["Cited Work", "cited work!"])
+        corpus.ingest_document("Same paper here!", body_terms=["Alpha", "alpha", "gamma"],
+                               citations=["Cited Work"])
+        assert corpus.documents[a] == "Same paper here!"
+        assert bag(corpus, a) == {"same": 1, "paper": 1, "here": 1,
+                                  "alpha": 2, "beta": 2, "gamma": 1}
+        assert cited_by(corpus, a) == [corpus.lookup("Cited Work")]
 
     def test_empty_title_rejected(self):
         with pytest.raises(EmptyTitle):
@@ -91,7 +102,7 @@ class TestResolveIngest:
         assert len(corpus) == 2
         first = corpus.cleantitle_index[cleantitle("First Doc")]
         second = corpus.cleantitle_index[cleantitle("Second Doc")]
-        assert corpus.documents[first].cited_ids == [second]
+        assert cited_by(corpus, first) == [second]
 
     @pytest.mark.parametrize("line", [
         "{not json",
@@ -100,8 +111,14 @@ class TestResolveIngest:
         '["First Doc"]',
         '{"title": "Third Doc", "citations": "First Doc"}',
         '{"title": "Third Doc", "terms": ["alpha", 7]}',
+        '{"title": "Third Doc", "terms": ""}',
+        '{"title": "Third Doc", "terms": 0}',
+        '{"title": "Third Doc", "citations": false}',
+        '{"title": "Third Doc", "citations": {}}',
+        '{"title": "Third Doc", "terms": null}',
     ], ids=["not_json", "no_title", "empty_title", "not_a_record",
-            "citations_not_a_list", "term_not_a_string"])
+            "citations_not_a_list", "term_not_a_string", "terms_empty_string",
+            "terms_zero", "citations_false", "citations_empty_object", "terms_null"])
     def test_malformed_jsonl_line_named(self, tmp_path, line):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"title": "First Doc"}\n\n' + line + "\n", encoding="utf-8")
@@ -112,10 +129,21 @@ class TestResolveIngest:
         corpus = Corpus()
         corpus.ingest_document("other paper", body_terms=["alpha"])
         doc = corpus.ingest_document("alpha beta", body_terms=["alpha", "alpha"])
-        ordinal = list(corpus.documents).index(doc)
-        assert document_id(ordinal) == doc
-        total = sum(postings.get(ordinal, 0) for postings in corpus.term_index.values())
-        assert total == sum(corpus.documents[doc].terms.values())
+        assert document_id(list(corpus.documents).index(doc)) == doc
+        assert bag(corpus, doc) == {"alpha": 3, "beta": 1}
+
+
+def bag(corpus, doc_id):
+    """{term: count} of one document, read back from the term postings."""
+    ordinal = list(corpus.documents).index(doc_id)
+    return {term: postings[ordinal] for term, postings in corpus.term_index.items()
+            if ordinal in postings}
+
+
+def cited_by(corpus, doc_id):
+    """The ids one document cites, read back from the citation postings."""
+    ordinal = list(corpus.documents).index(doc_id)
+    return [cited for cited, postings in corpus.citation_index.items() if ordinal in postings]
 
 
 class ReferenceIndex:
@@ -159,16 +187,19 @@ class ReferenceIndex:
                 self.citation_index.setdefault(cited, {})[ordinal] = 1
 
     def state(self):
-        return ([(d[0], d[1], d[2], list(d[3].items()), d[4]) for d in self.documents.values()],
+        return ([(d[0], d[1], d[2], d[3], sorted(d[4])) for d in self.documents.values()],
                 list(self.cleantitle_index.items()),
                 [(k, list(v.items())) for k, v in self.term_index.items()],
                 [(k, list(v.items())) for k, v in self.citation_index.items()])
 
 
 def index_state(corpus):
-    """Every index of a corpus as lists, so that order counts in comparisons."""
-    return ([(d.doc_id, d.title, d.cleantitle, list(d.terms.items()), d.cited_ids)
-             for d in corpus.documents.values()],
+    """Every index of a corpus as lists, so that order counts in comparisons,
+    and each document's title, cleantitle, bag and cited ids, the last two
+    read back from the postings."""
+    return ([(doc_id, title, cleantitle(title), Counter(bag(corpus, doc_id)),
+              sorted(cited_by(corpus, doc_id)))
+             for doc_id, title in corpus.documents.items()],
             list(corpus.cleantitle_index.items()),
             [(k, list(v.items())) for k, v in corpus.term_index.items()],
             [(k, list(v.items())) for k, v in corpus.citation_index.items()])
@@ -201,24 +232,29 @@ class TestIngestAgainstReference:
             assert index_state(corpus) == reference.state()
 
 
-def brute_force_scores(corpus, features):
-    """Index-free oracle: per-document dot product over raw bags."""
-    n = len(corpus.documents)
+def ingest_both(corpus, reference, title, body_terms, citations):
+    """Feed one record to a corpus and to a `ReferenceIndex`."""
+    corpus.ingest_document(title, body_terms=body_terms, citations=citations)
+    reference.ingest(title, body_terms, citations)
+
+
+def brute_force_scores(reference, features):
+    """Index-free oracle: per-document dot product over the raw bags of a
+    `ReferenceIndex`."""
+    docs = reference.documents.values()
     out = []
-    for doc_id, doc in corpus.documents.items():
+    for doc_id, _, _, terms, cited_ids in docs:
         score = 0.0
         for feature, q_w in features:
             if feature.startswith("citation:"):
                 cited = feature.split(":", 1)[1]
-                tf = 1 if cited in doc.cited_ids else 0
-                df = sum(1 for d in corpus.documents.values()
-                         if cited in d.cited_ids)
+                tf = 1 if cited in cited_ids else 0
+                df = sum(1 for d in docs if cited in d[4])
             else:
-                tf = doc.terms.get(feature, 0)
-                df = sum(1 for d in corpus.documents.values()
-                         if feature in d.terms)
+                tf = terms.get(feature, 0)
+                df = sum(1 for d in docs if feature in d[3])
             if tf and df:
-                score += q_w * tf * math.log(n / df)
+                score += q_w * tf * math.log(len(docs) / df)
         if score != 0.0:
             out.append((doc_id, score))
     out.sort(key=lambda pair: (-pair[1], pair[0]))
@@ -270,7 +306,7 @@ class TestScoreQuery:
     def test_single_hit(self):
         corpus = self._ab_corpus()
         [(doc_id, score)] = corpus.score_query([("aa", 1.0)])
-        assert corpus.documents[doc_id].title == "docalpha"
+        assert corpus.documents[doc_id] == "docalpha"
         assert score == pytest.approx(math.log(2))
 
     def test_df_equals_n_scores_zero(self):
@@ -291,22 +327,22 @@ class TestScoreQuery:
     def test_brute_force_equivalence_random_corpora(self):
         rng = random.Random(11)
         for _ in range(40):
-            corpus = Corpus()
+            corpus, reference = Corpus(), ReferenceIndex()
             n_docs = rng.randint(2, 25)
             for i in range(n_docs):
                 terms = [rng.choice(WORDS) for _ in range(rng.randint(1, 6))]
                 cites = []
                 if corpus.documents and rng.random() < 0.5:
-                    cites = [corpus.documents[rng.choice(sorted(corpus.documents))].title]
-                corpus.ingest_document(f"title {i} {rng.choice(WORDS)}",
-                                       body_terms=terms, citations=cites)
+                    cites = [corpus.documents[rng.choice(sorted(corpus.documents))]]
+                ingest_both(corpus, reference, f"title {i} {rng.choice(WORDS)}", terms, cites)
+            assert list(reference.documents) == list(corpus.documents)
             query = [(rng.choice(WORDS), rng.choice([1.0, 2.0, 0.5]))
                      for _ in range(rng.randint(1, 4))]
             if corpus.citation_index and rng.random() < 0.5:
                 cited = rng.choice(sorted(corpus.citation_index))
                 query.append((citation_feature(cited), 1.0))
             got = corpus.score_query(query)
-            expected = brute_force_scores(corpus, query)
+            expected = brute_force_scores(reference, query)
             assert [d for d, _ in got] == [d for d, _ in expected]
             for (_, a), (_, b) in zip(got, expected):
                 assert a == pytest.approx(b, rel=1e-12)
@@ -326,20 +362,20 @@ class TestScoreQuery:
 class TestRank:
     @staticmethod
     def _random_corpus(rng):
-        corpus = Corpus()
+        """A random corpus and a `ReferenceIndex` fed the same records."""
+        corpus, reference = Corpus(), ReferenceIndex()
         for i in range(rng.randint(2, 30)):
             terms = [rng.choice(WORDS[:8]) for _ in range(rng.randint(1, 5))]
             cites = []
             if corpus.documents and rng.random() < 0.4:
-                cites = [corpus.documents[rng.choice(sorted(corpus.documents))].title]
-            corpus.ingest_document(f"title {i} {rng.choice(WORDS)}",
-                                   body_terms=terms, citations=cites)
-        return corpus
+                cites = [corpus.documents[rng.choice(sorted(corpus.documents))]]
+            ingest_both(corpus, reference, f"title {i} {rng.choice(WORDS)}", terms, cites)
+        return corpus, reference
 
     def test_top_k_is_prefix_of_full_ranking(self):
         rng = random.Random(23)
         for _ in range(200):
-            corpus = self._random_corpus(rng)
+            corpus, _ = self._random_corpus(rng)
             query = [(rng.choice(WORDS[:8]), rng.choice([1.0, 2.0, rng.random()]))
                      for _ in range(rng.randint(1, 5))]
             if corpus.citation_index and rng.random() < 0.5:
@@ -375,16 +411,17 @@ class TestRank:
         rng = random.Random(29)
         cuts_at_or_below_zero = 0
         for _ in range(200):
-            corpus = self._random_corpus(rng)
-            corpus.ingest_document("cancel paper", body_terms=["xx", "yy"])
+            corpus, reference = self._random_corpus(rng)
+            ingest_both(corpus, reference, "cancel paper", ["xx", "yy"], [])
             for k in range(rng.randint(0, 3)):
-                corpus.ingest_document(f"single x {'q' * (k + 2)}", body_terms=["xx"])
-                corpus.ingest_document(f"single y {'q' * (k + 2)}", body_terms=["yy"])
+                ingest_both(corpus, reference, f"single x {'q' * (k + 2)}", ["xx"], [])
+                ingest_both(corpus, reference, f"single y {'q' * (k + 2)}", ["yy"], [])
+            assert list(reference.documents) == list(corpus.documents)
             w = rng.choice([1.0, 2.0, rng.random()])
             query = [(rng.choice(WORDS[:8]), rng.choice([-1.0, -2.5, rng.uniform(-1, 1)]))
                      for _ in range(rng.randint(1, 4))]
             query[rng.randint(0, len(query)):0] = [("xx", w), ("yy", -w)]
-            expected = brute_force_scores(corpus, query)
+            expected = brute_force_scores(reference, query)
             assert corpus.lookup("cancel paper") not in dict(expected)
             n = len(expected)
             assert corpus.rank(query) == expected
@@ -400,13 +437,14 @@ class TestRank:
         rng = random.Random(31)
         splits_against_ordinal_order = 0
         for _ in range(100):
-            corpus = Corpus()
+            corpus, reference = Corpus(), ReferenceIndex()
             for i in range(rng.randint(12, 30)):
-                corpus.ingest_document(f"paper {'x' * (i + 2)}",
-                                       body_terms=rng.sample(WORDS[:3], rng.randint(1, 2)))
+                ingest_both(corpus, reference, f"paper {'x' * (i + 2)}",
+                            rng.sample(WORDS[:3], rng.randint(1, 2)), [])
+            assert list(reference.documents) == list(corpus.documents)
             ordinal = {doc_id: i for i, doc_id in enumerate(corpus.documents)}
             query = [(w, rng.choice([1.0, 2.0])) for w in rng.sample(WORDS[:3], rng.randint(1, 3))]
-            expected = brute_force_scores(corpus, query)
+            expected = brute_force_scores(reference, query)
             for top in range(1, len(expected) + 2):
                 assert corpus.rank(query, top=top) == expected[:top]
                 if top < len(expected):

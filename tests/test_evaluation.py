@@ -13,7 +13,7 @@ from mindrec.evaluation import (
     reiteration_report,
 )
 from mindrec.experiment import AlgorithmConfig
-from mindrec.mindmap import MindMap, MindMapCollection
+from mindrec.mindmap import MindMap, MindMapCollection, revision_chains
 from mindrec.usermodel import DAY_MS
 
 from conftest import node, single_map_collection
@@ -134,7 +134,7 @@ class TestOfflineEvaluate:
         first = user_with_citation("Zorblax Quuxify Theory",
                                    ["zorblax quuxify"], now)
         later = MindMap("m2", node("r2", "later map", created_at=now - DAY_MS))
-        collection = MindMapCollection("u", first.latest_maps() + [later])
+        collection = MindMapCollection("u", revision_chains(first.latest_maps() + [later]))
         result = offline_evaluate_user(collection, corpus, simple_config())
         assert result.target_rank == 1
 

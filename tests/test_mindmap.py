@@ -247,7 +247,7 @@ class TestDeriveEvents:
         r1 = self._rev(node("r", "a"), 1, 10)
         r2 = self._rev(node("r", "a", children=[node("c")]), 2, 20)
         r3 = self._rev(node("r", "a", children=[node("c"), node("d")]), 3, 30)
-        collection = MindMapCollection("u", [r1, r2, r3])
+        collection = MindMapCollection("u", revision_chains([r1, r2, r3]))
         created = {e.node_id for e in collection.events if e.kind == "created"}
         assert created >= set(r3.node_ids())
 
@@ -269,7 +269,7 @@ class TestEventLog:
     def test_explicit_log_overrides_derivation(self):
         m = MindMap("m", node("r", "a", created_at=50))
         explicit = [NodeEvent("m", "r", "created", 999)]
-        collection = MindMapCollection("u", [m], events=explicit)
+        collection = MindMapCollection("u", revision_chains([m]), events=explicit)
         assert collection.events == explicit
 
 
@@ -286,7 +286,7 @@ class TestDeepMaps:
         pruned = copy_mindmap(m, drop_node_ids={"n1000"}, strip_link_ids={"n700"})
         assert pruned.node_ids() == [f"n{i}" for i in range(1_000)]
         assert pruned.node("n700").link is None and m.node("n700").link == "Title 700"
-        assert MindMapCollection("u", [copy_mindmap(m)]).links() == ["Title 700", "Title 1400"]
+        assert MindMapCollection("u", revision_chains([copy_mindmap(m)])).links() == ["Title 700", "Title 1400"]
 
     def test_deep_markup(self):
         depth = 1_500

@@ -6,7 +6,7 @@ import pytest
 from mindrec.corpus import Corpus, citation_feature
 from mindrec.errors import EmptyCollection, InvalidConfig, NoPositiveFeatures
 from mindrec.experiment import AlgorithmConfig, build_model, docear_combined_model, preset
-from mindrec.mindmap import MindMap, MindMapCollection, NodeEvent, is_visible
+from mindrec.mindmap import MindMap, MindMapCollection, NodeEvent, is_visible, revision_chains
 from mindrec.usermodel import (
     COMBINERS,
     DAY_MS,
@@ -73,7 +73,7 @@ class TestSelectNodes:
 
     def test_empty_collection(self):
         with pytest.raises(EmptyCollection):
-            select_nodes(MindMapCollection("u", []),
+            select_nodes(MindMapCollection("u", revision_chains([])),
                          AlgorithmConfig(node_limit=1), now=0)
 
     def test_day_window(self):
@@ -225,7 +225,7 @@ class TestWeightFeatures:
     def test_tf_iduf_hand_value(self):
         maps = [MindMap(f"m{i}", node(f"r{i}", "filler")) for i in range(3)]
         maps.append(MindMap("m3", node("r3", "cancer")))
-        collection = MindMapCollection("u", maps)
+        collection = MindMapCollection("u", revision_chains(maps))
         occurrences = [("cancer", 1.0)] * 3
         [(_, weight)] = weight_features(occurrences, "tf_iduf",
                                         collection=collection)
@@ -233,7 +233,7 @@ class TestWeightFeatures:
 
     def test_tf_iduf_everywhere_is_zero(self):
         maps = [MindMap(f"m{i}", node(f"r{i}", "cancer cell")) for i in range(4)]
-        collection = MindMapCollection("u", maps)
+        collection = MindMapCollection("u", revision_chains(maps))
         got = dict(weight_features([("cancer", 2.0)], "tf_iduf",
                                    collection=collection))
         assert got["cancer"] == 0.0
@@ -364,7 +364,7 @@ class TestCombinedAlgorithm:
         # second map keeps TF-IDuF away from ln(1) = 0 on every term
         other = MindMap("m2", node("r2", "unrelated filler"))
         collection = MindMapCollection(
-            "u", [MindMap("m1", root), other], events=events)
+            "u", revision_chains([MindMap("m1", root), other]), events=events)
         model = docear_combined_model(collection, corpus3, now)
         assert len(model.features) > 0  # fallback (kind=any) engaged
 
@@ -376,7 +376,7 @@ class TestCombinedAlgorithm:
                   for nid in ("r", "a", "b")]
         other = MindMap("m2", node("r2", "unrelated filler"))
         collection = MindMapCollection(
-            "u", [MindMap("m1", root), other], events=events)
+            "u", revision_chains([MindMap("m1", root), other]), events=events)
         model = build_model(collection, corpus3, preset("docear_combined"), now)
         assert model == docear_combined_model(collection, corpus3, now)
         assert model.features
