@@ -17,7 +17,7 @@ from pathlib import Path
 from . import evaluation, experiment, matching
 from .corpus import cleantitle, load_corpus_jsonl
 from .errors import (InconsistentRevisions, InvalidConfig, InvariantViolation,
-                     MalformedInput, MindrecError, NoCitations, UnknownTitle)
+                     MalformedInput, MindrecError, UnknownTitle)
 from .evaluation import RecEvent, SetRating
 from .matching import RecommendationItem, RecommendationSet
 from .mindmap import (MindMapCollection, parse_mindmap, read_event_log, read_map_links,
@@ -182,13 +182,18 @@ def _stereotype_catalog(corpus, args):
     if not args.stereotype:
         catalog = sorted(corpus.documents)[:50]
     else:
-        catalog = []
+        lines = {}  # doc_id -> the number of the line that named it
         for number, title in enumerate(read_text(args.stereotype).splitlines(), start=1):
             if title:
                 try:
-                    catalog.append(corpus.lookup(title))
+                    doc_id = corpus.lookup(title)
                 except UnknownTitle as exc:
                     raise UnknownTitle(f"{args.stereotype}: line {number}: {exc}") from exc
+                if doc_id in lines:
+                    raise MalformedInput(f"{args.stereotype}: line {number}: {title!r} names "
+                                         f"the document of line {lines[doc_id]}")
+                lines[doc_id] = number
+        catalog = list(lines)
     if not catalog:
         raise MindrecError(f"{args.stereotype or args.corpus}: no document for the "
                            "stereotype catalog")
@@ -269,11 +274,9 @@ def cmd_offline_eval(args):
         if space:
             rng = random.Random(matching.derive_seed(args.seed, user_id))
             config = experiment.random_config(space, rng)
-        try:
-            result = evaluation.offline_evaluate_user(collections[user_id], corpus, config)
-        except NoCitations:
-            continue
-        rows.append(offline_result_row(result))
+        result = evaluation.offline_evaluate_user(collections[user_id], corpus, config)
+        if result is not None:
+            rows.append(offline_result_row(result))
     _write_csv(args.out, ["user_id", "algorithm", "target_rank",
                           "p_at_3", "p_at_10", "mrr", "ndcg"], rows)
     return 0

@@ -48,12 +48,6 @@ class NoPositiveFeatures(NoModel):
     reason = "no_features"
 
 
-# evaluation
-
-class NoCitations(MindrecError):
-    pass
-
-
 # experiment / storage
 
 class InvalidConfig(MindrecError, ValueError):

@@ -4,7 +4,7 @@ metric suite computed from recommendation event logs."""
 import math
 from dataclasses import dataclass
 
-from .errors import NoCitations, NoModel
+from .errors import NoModel
 from .experiment import build_model
 from .matching import retrieve_candidates
 from .mindmap import MindMapCollection, copy_mindmap
@@ -85,11 +85,12 @@ def offline_evaluate_user(collection, corpus, config):
     """Remove the most recently added citation (and everything newer),
     rebuild the model, and check where the removed paper ranks.  A map
     whose root is newer than that citation is left out whole.  The corpus
-    must be frozen over the collection."""
+    must be frozen over the collection.  A user who cites nothing gets
+    None."""
     created = _creation_times(collection)
     citations = _citation_nodes(collection, created)
     if not citations:
-        raise NoCitations(f"user {collection.user_id!r} has no cited nodes")
+        return None
     target_at, target_map, target_node, target_link = citations[0]
     target_doc = corpus.lookup(target_link)
 

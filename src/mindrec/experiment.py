@@ -2,7 +2,7 @@
 variable space, flat-text serialization, and model building from a
 configuration."""
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import InvalidConfig
 from .mindmap import EVENT_KINDS
@@ -75,13 +75,16 @@ def _check(key, value):
         for member in value if isinstance(value, (frozenset, tuple)) else (value,):
             if member not in allowed:
                 raise InvalidConfig(f"{key}: {member!r} is not one of {', '.join(allowed)}")
+    if isinstance(value, tuple) and len(set(value)) < len(value):
+        raise InvalidConfig(f"{key}: a name is given twice in {'+'.join(value)!r}")
     if key in _POSITIVE and value is not None and value < 1:
         raise InvalidConfig(f"{key}: {value} is not >= 1")
 
 
 @dataclass
 class AlgorithmConfig:
-    """One algorithm; each field is a config-file key, in file order."""
+    """One algorithm; each field is a config-file key, in file order, and
+    its annotation picks the parser of its text (see PARSERS)."""
     preset_name: str | None = None
     map_limit: int | None = None
     node_limit: int | None = None
@@ -147,8 +150,6 @@ DEFAULT_SPACE = {
     "store_weights": [False, True],
 }
 
-_DRAW_ORDER = list(DEFAULT_SPACE)
-
 _TO_TERM = {"cc_only": "tf_only", "cc_idf": "tf_idf"}
 _TO_CITATION = {"tf_only": "cc_only", "tf_idf": "cc_idf", "tf_iduf": "cc_idf"}
 
@@ -159,7 +160,7 @@ def random_config(space, rng):
     Repairs are deterministic (no rejection sampling) so the number of
     generator draws never depends on what was drawn.
     """
-    drawn = {key: rng.choice(space[key]) for key in _DRAW_ORDER}
+    drawn = {key: rng.choice(space[key]) for key in DEFAULT_SPACE}
     drawn["node_weighting"] = drawn.pop("use_node_weighting")
 
     # Scheme must match the feature type.
@@ -225,28 +226,20 @@ def _names(kind):
     return lambda raw: kind() if raw in ("", "none") else kind(raw.split("+"))
 
 
-# Every config-file key, in file order, with the parser of its text; the
-# keys are the fields of AlgorithmConfig.
-PARSERS = {
-    "preset_name": _optional(str),
-    "map_limit": _optional(int),
-    "node_limit": _optional(int),
-    "day_window": _optional(int),
-    "event_kind": str,
-    "visibility": str,
-    "extension": _names(frozenset),
-    "fallback_any": _flag,
-    "node_weighting": _flag,
-    "metrics": _names(tuple),
-    "transform": str,
-    "direction": str,
-    "combiner": str,
-    "feature_type": str,
-    "scheme": str,
-    "remove_stopwords": _flag,
-    "model_size": int,
-    "store_weights": _flag,
+# The parser of a config-file value's text, by its field's annotation.
+_PARSE_BY_TYPE = {
+    str: str,
+    int: int,
+    bool: _flag,
+    str | None: _optional(str),
+    int | None: _optional(int),
+    frozenset: _names(frozenset),
+    tuple: _names(tuple),
 }
+
+# Every config-file key, in file order, with the parser of its text.
+PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in fields(AlgorithmConfig)}
+
 
 def _fmt(value):
     if value is None:

@@ -147,9 +147,9 @@ def _walk_map(data, map_id, visit):
     return root
 
 
-def parse_mindmap(data, map_id="map", revision=1, saved_at=None):
-    """Parse raw mind-map markup into a MindMap; faults raise as in
-    `_walk_map`.  `saved_at` defaults to the latest MODIFIED of its nodes."""
+def parse_mindmap(data, map_id="map", revision=1):
+    """Parse raw mind-map markup into a MindMap saved at the latest
+    MODIFIED of its nodes; faults raise as in `_walk_map`."""
 
     def visit(attrs, node_id, created_at, modified_at, parent):
         node = MindNode(node_id, attrs.get("TEXT", ""), attrs.get("LINK") or None,
@@ -160,8 +160,7 @@ def parse_mindmap(data, map_id="map", revision=1, saved_at=None):
         return node
 
     mindmap = MindMap(map_id, _walk_map(data, map_id, visit), revision=revision)
-    mindmap.saved_at = max(node.modified_at for node in mindmap._by_id.values()) \
-        if saved_at is None else saved_at
+    mindmap.saved_at = max(node.modified_at for node in mindmap._by_id.values())
     return mindmap
 
 
@@ -292,10 +291,6 @@ class MindMapCollection:
                 events += derive_events(chain)
         self.events = sorted(events, key=lambda e: (e.at, e.map_id, e.node_id, e.kind))
 
-    @property
-    def map_ids(self):
-        return list(self.revisions)
-
     def latest(self, map_id):
         return self.revisions[map_id][-1]
 
@@ -306,9 +301,6 @@ class MindMapCollection:
         """The links of the latest maps, maps in order, nodes in pre-order."""
         return [node.link for mindmap in self.latest_maps()
                 for node in mindmap._by_id.values() if node.link]
-
-    def is_empty(self):
-        return not self.revisions
 
 
 def read_event_log(path):

@@ -49,7 +49,7 @@ def select_nodes(collection, cfg, now):
     With fallback_any, fewer than node_limit nodes means selecting again
     with event_kind "any".
     """
-    if collection.is_empty():
+    if not collection.revisions:
         raise EmptyCollection(f"user {collection.user_id!r} has no mind maps")
 
     events = collection.events

@@ -292,6 +292,16 @@ class TestRecommendCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {catalog}: line 2: ") and "Not In The Corpus" in err
 
+    def test_stereotype_document_named_twice(self, tmp_path, capsys):
+        # two spellings of one title would put one document in a set twice
+        code, catalog, out = self._catalog_call(
+            tmp_path, lambda titles: [titles[0], "", titles[0].upper().replace(" ", "  ")])
+        variant = catalog.read_text().splitlines()[2]
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {catalog}: line 3: {variant!r} names the document of line 1\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("p_stereotype", [1, 0], ids=["stereotype_arm", "content_route"])
     def test_empty_stereotype_file_named(self, tmp_path, capsys, p_stereotype):
         # the file is checked where it enters, whichever route serves
@@ -394,7 +404,8 @@ class TestOfflineEvalCommand:
         "node_limt = 5\n",
         "node_limit = 5\nnode_weighting = true\ntransform = bogus\n",
         "event_kind = moved\n",
-    ], ids=["unknown_key", "bad_choice", "no_selection_bound"])
+        "node_limit = 5\nnode_weighting = true\nmetrics = depth+depth\n",
+    ], ids=["unknown_key", "bad_choice", "no_selection_bound", "repeated_metric"])
     def test_bad_config_rejected(self, tmp_path, capsys, text):
         corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
         config = tmp_path / "bad.cfg"

@@ -11,8 +11,9 @@ import pytest
 import mindrec
 from mindrec.errors import InvalidConfig
 from mindrec.experiment import (
+    _POSITIVE,
+    CHOICES,
     DEFAULT_SPACE,
-    PARSERS,
     PRESET_NAMES,
     AlgorithmConfig,
     build_model,
@@ -191,7 +192,28 @@ class TestConfigFile:
 
 class TestSchema:
     def test_fields_are_config_keys(self):
-        assert [f.name for f in fields(AlgorithmConfig)] == list(PARSERS)
+        # each field's serialized line, next to one selection bound, sets it
+        config = AlgorithmConfig(
+            preset_name="docear_combined", map_limit=2, node_limit=3, day_window=7,
+            event_kind="moved", visibility="visible_only",
+            extension=frozenset({"children", "parents"}), fallback_any=True,
+            node_weighting=True, metrics=("children", "term_count"), transform="ln",
+            direction="weaker", combiner="max", feature_type="both", scheme="tf_idf",
+            remove_stopwords=True, model_size=7, store_weights=True)
+        config.validate()
+        lines = dict(line.split(" = ") for line in serialize_config(config).splitlines())
+        for field in fields(AlgorithmConfig):
+            assert getattr(config, field.name) != field.default, field.name
+            bound = "map_limit = 1" if field.name == "node_limit" else "node_limit = 1"
+            parsed = parse_config(f"{bound}\n{field.name} = {lines[field.name]}\n")
+            assert getattr(parsed, field.name) == getattr(config, field.name), field.name
+
+    def test_checked_keys_are_fields(self):
+        # a misspelt key in these tables would never be checked or drawn
+        names = {f.name for f in fields(AlgorithmConfig)}
+        drawn = {"node_weighting" if key == "use_node_weighting" else key
+                 for key in DEFAULT_SPACE}
+        assert set(CHOICES) | set(_POSITIVE) | drawn <= names
 
     def test_draws_and_presets_round_trip(self):
         rng = random.Random(17)
@@ -207,6 +229,20 @@ class TestSchema:
     def test_algorithm_label(self):
         assert AlgorithmConfig(map_limit=1).algorithm == "custom"
         assert preset("docear_combined").algorithm == "docear_combined"
+
+    def test_metric_named_twice_rejected(self):
+        # a repeated metric would count twice under sum, squared under product
+        message = "^metrics: a name is given twice in 'depth\\+depth'$"
+        with pytest.raises(InvalidConfig, match=message):
+            parse_config("node_limit = 5\nnode_weighting = true\nmetrics = depth+depth\n")
+        with pytest.raises(InvalidConfig, match=message):
+            parse_space("metrics = depth+depth, children\n")
+        cfg = AlgorithmConfig(node_limit=5, node_weighting=True, metrics=("depth", "depth"))
+        with pytest.raises(InvalidConfig, match=message):
+            cfg.validate()
+        # a set: the repeat has no effect
+        cfg = parse_config("node_limit = 5\nextension = children+children\n")
+        assert cfg.extension == frozenset({"children"})
 
     @pytest.mark.parametrize("key", ["map_limit", "node_limit", "day_window", "model_size"])
     @pytest.mark.parametrize("value", [0, -1])

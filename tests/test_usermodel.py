@@ -99,7 +99,7 @@ class TestSelectNodes:
 class TestExtendSelection:
     def test_empty_extension_identity(self):
         collection, _ = scripted_collection(n_nodes=40)
-        selection = [(m, n) for m in collection.map_ids[:1]
+        selection = [(m, n) for m in list(collection.revisions)[:1]
                      for n in collection.latest(m).node_ids()[:3]]
         assert extend_selection(collection, selection, frozenset()) == selection
 
@@ -112,7 +112,7 @@ class TestExtendSelection:
 
     def test_relation_scan_oracle(self):
         collection, _ = scripted_collection(n_nodes=80, seed=13)
-        map_id = collection.map_ids[0]
+        map_id = list(collection.revisions)[0]
         mindmap = collection.latest(map_id)
         ids = mindmap.node_ids()
         selection = [(map_id, ids[5]), (map_id, ids[11])]
