@@ -12,6 +12,8 @@ import json
 import random
 import sys
 from contextlib import nullcontext
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 from . import evaluation, experiment, matching
@@ -101,49 +103,69 @@ def replay_event_log(path):
     sorted by timestamp (shown first on ties), each (set_id, doc_id,
     kind) once: its first row in that order.
     """
-    events = read_csv(path, _rec_event)
-    ordered = sorted(events, key=lambda event: (event.at, event.kind != "shown"))
+    events = _read_events(path)
+    # Two stable passes give the order of the key (at, kind != "shown")
+    # without a key tuple per event.
+    events.sort(key=lambda event: event.kind != "shown")
+    events.sort(key=attrgetter("at"))
 
     def violation(event, problem):
-        index = next(i for i, other in enumerate(events) if other is event)
+        # The walk meets equal rows in file order, so the first is `event`.
+        index = _read_events(path).index(event)
         return InvariantViolation(f"{path}: row {csv_row_of(path, index)}: "
                                   f"{event.kind!r} {problem}")
 
-    seen = {}  # (set_id, doc_id, kind) -> user_id of its first row
+    shown_to = {}  # set_id -> {doc_id: user_id of its first shown row}
+    done = set()   # (set_id, doc_id, kind) of each replayed event not shown
     replayed = []
-    for event in ordered:
-        shown_to = seen.get((event.set_id, event.doc_id, "shown"))
-        if shown_to is None and event.kind != "shown":
-            raise violation(event, f"without prior shown for {(event.set_id, event.doc_id)}")
-        if shown_to not in (None, event.user_id):
+    for event in events:
+        set_id, doc_id, kind = event.set_id, event.doc_id, event.kind
+        items = shown_to.setdefault(set_id, {})
+        user_id = items.get(doc_id)
+        if user_id is None:
+            if kind != "shown":
+                raise violation(event, f"without prior shown for {(set_id, doc_id)}")
+            items[doc_id] = event.user_id
+            replayed.append(event)
+        elif user_id != event.user_id:
             raise violation(event, f"by user {event.user_id!r}, but "
-                                   f"{(event.set_id, event.doc_id)} was shown to {shown_to!r}")
-        key = (event.set_id, event.doc_id, event.kind)
-        if key not in seen:
-            seen[key] = event.user_id
+                                   f"{(set_id, doc_id)} was shown to {user_id!r}")
+        elif kind != "shown" and (set_id, doc_id, kind) not in done:
+            done.add((set_id, doc_id, kind))
             replayed.append(event)
     return replayed
 
 
-def _rec_event(row):
-    kind = row["kind"]
+def _read_events(path):
+    """The RecEvents of an event CSV, in file order."""
+    return read_csv(path, partial(_rec_event, {}.setdefault))
+
+
+def _rec_event(intern, row):
+    """The RecEvent of one event-log row; `intern` is the `setdefault` of
+    a memo kept for one read of the log, so each id and time is held once."""
+    set_id, doc_id, user_id, kind = row["set_id"], row["doc_id"], row["user_id"], row["kind"]
     if kind not in evaluation.REC_EVENT_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    return RecEvent(row["set_id"], row["doc_id"], row["user_id"], kind, int(row["at"]))
+    at = int(row["at"])
+    return RecEvent(intern(set_id, set_id), intern(doc_id, doc_id), intern(user_id, user_id),
+                    intern(kind, kind), intern(at, at))
 
 
-def _set_rating(row):
+def _set_rating(intern, row):
+    """The SetRating of one ratings row; `intern` as in `_rec_event`."""
     rating = int(row["rating"])
     if not 1 <= rating <= 5:
         raise ValueError(f"rating {rating} outside 1..5")
-    return SetRating(row["set_id"], row["user_id"], rating, int(row["at"]))
+    set_id, user_id = row["set_id"], row["user_id"]
+    return SetRating(intern(set_id, set_id), intern(user_id, user_id), rating, int(row["at"]))
 
 
 def _read_ratings(path, events):
     """Parse a ratings CSV (`set_id,user_id,rating,at`) against a replayed
     event log: a rating of a set that was not shown to the rating's user
     raises InvariantViolation naming the row."""
-    ratings = read_csv(path, _set_rating)
+    ratings = read_csv(path, partial(_set_rating, {}.setdefault))
     shown = {(event.set_id, event.user_id) for event in events if event.kind == "shown"}
     for index, rating in enumerate(ratings):
         if (rating.set_id, rating.user_id) not in shown:
@@ -153,11 +175,25 @@ def _read_ratings(path, events):
     return ratings
 
 
-def _recommendation_set(record):
-    """The RecommendationSet of one `--sets-out` record."""
-    fields = {f.name: record[f.name] for f in dataclasses.fields(RecommendationSet)}
-    fields["items"] = [RecommendationItem(**item) for item in fields["items"]]
+def _recommendation_set(intern, record):
+    """The RecommendationSet of one `--sets-out` record; `intern` as in
+    `_rec_event`, applied to the str fields of the set and its items'
+    doc_ids.  A value of another type is kept as it is."""
+    fields = {f.name: _interned(intern, record[f.name])
+              for f in dataclasses.fields(RecommendationSet)}
+    fields["items"] = items = [RecommendationItem(**item) for item in fields["items"]]
+    for item in items:
+        item.doc_id = _interned(intern, item.doc_id)
     return RecommendationSet(**fields)
+
+
+def _interned(intern, value):
+    return intern(value, value) if type(value) is str else value
+
+
+def _read_sets(path):
+    """The RecommendationSets of a `--sets-out` file."""
+    return read_jsonl(path, partial(_recommendation_set, {}.setdefault))
 
 
 def _parse_file(parse, path):
@@ -295,7 +331,7 @@ def cmd_metrics(args):
     set_attrs = None
     if args.sets:
         set_attrs = {rec_set.set_id: vars(rec_set)
-                     for rec_set in read_jsonl(args.sets, _recommendation_set)}
+                     for rec_set in _read_sets(args.sets)}
     if args.group_by not in (None, *GROUP_BY):
         raise MindrecError(f"--group-by {args.group_by}: not one of {', '.join(GROUP_BY)}")
     if args.group_by not in (None, "user_id") and set_attrs is None:
@@ -321,7 +357,7 @@ def cmd_reiterate(args):
 
 
 def cmd_export(args):
-    sets = read_jsonl(args.sets, _recommendation_set)
+    sets = _read_sets(args.sets)
     clicked = set()
     if args.events:
         clicked = {(event.set_id, event.doc_id) for event in replay_event_log(args.events)

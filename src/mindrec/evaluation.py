@@ -3,6 +3,7 @@ metric suite computed from recommendation event logs."""
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import NoModel
 from .experiment import build_model
@@ -204,9 +205,11 @@ def reiteration_report(events):
     """
     clicked = {(e.user_id, e.doc_id, e.set_id) for e in events if e.kind == "clicked"}
     showings = {}  # (user_id, doc_id) -> set_ids in showing order
-    for e in sorted(events, key=lambda e: (e.at, e.set_id)):
-        if e.kind == "shown":
-            showings.setdefault((e.user_id, e.doc_id), []).append(e.set_id)
+    shown = [e for e in events if e.kind == "shown"]
+    shown.sort(key=attrgetter("set_id"))
+    shown.sort(key=attrgetter("at"))  # stable, so by (at, set_id)
+    for e in shown:
+        showings.setdefault((e.user_id, e.doc_id), []).append(e.set_id)
 
     per_iteration = {}
     for (user_id, doc_id), sets in showings.items():

@@ -18,7 +18,7 @@ DEFAULT_SET_SIZE = 10
 DEFAULT_P_STEREOTYPE = 0.01
 
 
-@dataclass
+@dataclass(slots=True)
 class RecommendationItem:
     doc_id: str
     original_rank: int   # 1-based rank in the candidate pool

@@ -1,7 +1,10 @@
 """Readers for line-oriented input files: CSV with a header row, JSON lines.
 
 Each reader opens its file as UTF-8, passes every row to a `build`
-function and returns what it built.  Any fault, be it a byte that is not
+function and returns what it built.  `build` sees the rows in file order
+and may keep state across the rows of one read, such as a memo that
+holds each distinct value once; a caller makes a fresh `build` for each
+read, so no state outlives it.  Any fault, be it a byte that is not
 UTF-8, a CSV or JSON error, or a KeyError, TypeError or ValueError raised
 by `build`, becomes a MalformedRow naming the file and the row or line.
 """
@@ -31,7 +34,8 @@ def read_text(path):
 
 
 def read_csv(path, build):
-    """[build({column: value}) for each non-blank row].
+    """[build({column: value}) for each non-blank row]; `build` may keep
+    per-read state, as the module docstring says.
 
     Rows are numbered as lines of the file, blank ones included; the
     header is row 1, and a blank one is malformed unless no row follows
@@ -63,7 +67,8 @@ def csv_row_of(path, index):
 
 
 def read_jsonl(path, build):
-    """[build(value) for the JSON value on each non-blank line]."""
+    """[build(value) for the JSON value on each non-blank line]; `build`
+    may keep per-read state, as the module docstring says."""
     built, number = [], 0
     with open(path, encoding="utf-8") as handle:
         try:

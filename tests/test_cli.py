@@ -8,9 +8,9 @@ import pytest
 from mindrec import cli, evaluation, experiment
 from mindrec.corpus import load_corpus_jsonl
 from mindrec.errors import InvariantViolation, MalformedRow, MindrecError
-from mindrec.mindmap import MindMap, _synthetic_id, serialize_mindmap
+from mindrec.mindmap import MindMap, serialize_mindmap
 
-from conftest import DAY_MS, WORDS, node, write_cli_fixture
+from conftest import DAY_MS, WORDS, node, path_id, write_cli_fixture
 
 
 def run(argv):
@@ -28,6 +28,15 @@ def _set_without(field):
     record = json.loads(GOOD_SET)
     del record[field]
     return f"{GOOD_SET}\n{json.dumps(record)}\n".encode()
+
+
+def _set_with(**fields):
+    return json.dumps({**json.loads(GOOD_SET), **fields})
+
+
+def _set_item_with_unknown_key():
+    item = {"doc_id": "d1", "original_rank": 1, "display_rank": 1, "score": 0.5}
+    return f"{GOOD_SET}\n{_set_with(items=[item])}\n".encode()
 
 
 class TestMetricsCommand:
@@ -120,6 +129,37 @@ class TestMetricsCommand:
         assert run(["metrics", "--events", events, "--sets", sets,
                     "--group-by", group_by, "--out", out]) == 0
         assert {r["group"] for r in csv.DictReader(out.read_text().splitlines())} == groups
+
+    def test_group_by_label_that_is_not_text(self, tmp_path):
+        # A label that is a number, a list or null groups by its text, and
+        # the number 7 and the text "7" fall in one group.
+        events = tmp_path / "e.csv"
+        events.write_text("set_id,doc_id,user_id,kind,at\n"
+                          "s1,d1,user00,shown,1\ns1,d1,user00,clicked,2\n"
+                          "s2,d1,user00,shown,3\ns3,d1,user00,shown,4\n"
+                          "s4,d1,user00,shown,5\ns5,d1,user00,shown,6\n")
+        sets = tmp_path / "sets.jsonl"
+        sets.write_text("\n".join([
+            _set_with(set_id="s1", label=7),
+            _set_with(set_id="s2", label=["x", 1],
+                      items=[{"doc_id": 5, "original_rank": 1, "display_rank": 1}]),
+            _set_with(set_id="s3", label="7"),
+            _set_with(set_id="s4", label=None, trigger=["t"]),
+        ]) + "\n")
+        out = tmp_path / "report.csv"
+        assert run(["metrics", "--events", events, "--sets", sets,
+                    "--group-by", "label", "--out", out]) == 0
+        assert out.read_text() == (
+            "group,metric,value,n\n"
+            "7,ctr,0.500000,2\n7,ctr_set,0.500000,2\n7,ctr_user,0.500000,1\n"
+            "7,ltr,0.000000,2\n7,atr,0.000000,2\n7,citr,0.000000,2\n"
+            "None,ctr,0.000000,1\nNone,ctr_set,0.000000,1\nNone,ctr_user,0.000000,1\n"
+            "None,ltr,0.000000,1\nNone,atr,0.000000,1\nNone,citr,0.000000,1\n"
+            "\"['x', 1]\",ctr,0.000000,1\n\"['x', 1]\",ctr_set,0.000000,1\n"
+            "\"['x', 1]\",ctr_user,0.000000,1\n\"['x', 1]\",ltr,0.000000,1\n"
+            "\"['x', 1]\",atr,0.000000,1\n\"['x', 1]\",citr,0.000000,1\n"
+            "unknown,ctr,0.000000,1\nunknown,ctr_set,0.000000,1\nunknown,ctr_user,0.000000,1\n"
+            "unknown,ltr,0.000000,1\nunknown,atr,0.000000,1\nunknown,citr,0.000000,1\n")
 
     @pytest.mark.parametrize("group_by", [None, "user_id"], ids=["plain", "by_user"])
     def test_empty_log_writes_header_only(self, tmp_path, group_by):
@@ -227,6 +267,45 @@ class TestReplayEventLog:
         [row] = csv.DictReader(open(out))
         assert (row["iteration"], row["shown"], row["clicks"]) == ("1", "1", "1")
 
+    def test_matches_the_replay_rule_on_random_logs(self, tmp_path):
+        # The rule as the docstring states it, on rows in file order: the
+        # kept rows, or the file index of the row the walk stops at.
+        def reference(rows):
+            order = sorted(range(len(rows)), key=lambda i: (rows[i][4], rows[i][3] != "shown"))
+            seen, kept = {}, []
+            for i in order:
+                set_id, doc_id, user_id, kind, _ = rows[i]
+                shown_to = seen.get((set_id, doc_id, "shown"))
+                if (shown_to is None and kind != "shown") or shown_to not in (None, user_id):
+                    return i
+                if (set_id, doc_id, kind) not in seen:
+                    seen[set_id, doc_id, kind] = user_id
+                    kept.append(rows[i])
+            return kept
+
+        rng = random.Random(16)
+        p = tmp_path / "e.csv"
+        outcomes = set()
+        for _ in range(400):
+            rows = [(rng.choice(["s1", "s2"]), rng.choice(["d1", "d2"]), rng.choice(["u1", "u2"]),
+                     rng.choice(["shown"] * 4 + ["clicked", "cited"]), rng.randrange(4))
+                    for _ in range(rng.randrange(1, 12))]
+            with open(p, "w", newline="") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(["set_id", "doc_id", "user_id", "kind", "at"])
+                writer.writerows(rows)
+            want = reference(rows)
+            outcomes.add(type(want))
+            if isinstance(want, int):
+                with pytest.raises(InvariantViolation,
+                                   match=f"^{re.escape(str(p))}: row {want + 2}: "
+                                         f"'{rows[want][3]}' "):
+                    cli.replay_event_log(p)
+            else:
+                assert [(e.set_id, e.doc_id, e.user_id, e.kind, e.at)
+                        for e in cli.replay_event_log(p)] == want
+        assert outcomes == {int, list}
+
     @pytest.mark.parametrize("argv", [
         ["metrics"], ["metrics", "--group-by", "user_id"], ["reiterate"],
         ["export", "--sets", "SETS", "--out", "OUT"],
@@ -242,6 +321,40 @@ class TestReplayEventLog:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {p}: row 3: 'clicked' by user 'u2'") and \
             "'u1'" in err
+
+
+class TestInterning:
+    """Within one read of a file, equal ids are one object; each read
+    starts afresh."""
+
+    def test_event_log(self, tmp_path):
+        p = tmp_path / "e.csv"
+        p.write_text("set_id,doc_id,user_id,kind,at\n"
+                     "set1,doc1,user1,shown,1700000000000\n"
+                     "set1,doc2,user1,shown,1700000000000\n"
+                     "set2,doc1,user1,shown,1700000000001\n")
+        a, b, c = cli.replay_event_log(p)
+        assert a.set_id is b.set_id and a.doc_id is c.doc_id
+        assert a.user_id is b.user_id is c.user_id and a.at is b.at
+        assert cli.replay_event_log(p)[0].set_id is not a.set_id
+
+    def test_ratings(self, tmp_path):
+        events = tmp_path / "e.csv"
+        events.write_text("set_id,doc_id,user_id,kind,at\nset1,doc1,user1,shown,1\n")
+        ratings = tmp_path / "r.csv"
+        ratings.write_text("set_id,user_id,rating,at\nset1,user1,4,2\nset1,user1,5,3\n")
+        a, b = cli._read_ratings(ratings, cli.replay_event_log(events))
+        assert a.set_id is b.set_id and a.user_id is b.user_id
+
+    def test_sets(self, tmp_path):
+        item = {"doc_id": "doc1", "original_rank": 1, "display_rank": 1}
+        p = tmp_path / "sets.jsonl"
+        p.write_text(_set_with(set_id="set1", items=[item]) + "\n"
+                     + _set_with(set_id="set2", items=[item, {**item, "doc_id": "doc2"}]) + "\n")
+        a, b = cli._read_sets(p)
+        assert a.items[0].doc_id is b.items[0].doc_id
+        assert a.user_id is b.user_id and a.algorithm is b.algorithm
+        assert vars(a)["set_id"] == "set1"
 
 
 class TestRecommendCommand:
@@ -557,6 +670,7 @@ class TestMalformedInput:
         ("metrics", "--sets", _set_without("set_id"), "line 2"),
         ("export", "--sets", _set_without("items"), "line 2"),
         ("metrics", "--sets", b"[1, 2]\n", "line 1"),
+        ("export", "--sets", _set_item_with_unknown_key(), "line 2"),
         ("export", "--sets", b"\n[1, 2]\n", "line 2"),
         ("export", "--sets", b'{"set_id": "s\xff"}\n', "not UTF-8"),
         ("reiterate", "--events", b"set_id,doc_id,user_id,kind,at\ns1,d\xff,u,shown,1\n",
@@ -569,7 +683,7 @@ class TestMalformedInput:
         ("offline-eval", "--space", b"node_limit = 5, \xff\n", "not UTF-8"),
         ("recommend", "--stereotype", b"Some title \xff\n", "not UTF-8"),
     ], ids=["metrics_sets_not_json", "export_sets_not_json", "sets_no_set_id",
-            "sets_no_items", "metrics_sets_not_a_record", "export_sets_not_a_record",
+            "sets_no_items", "metrics_sets_not_a_record", "set_item_unknown_key", "export_sets_not_a_record",
             "sets_not_utf8", "events_not_utf8", "ratings_not_utf8", "sidecar_not_utf8",
             "corpus_not_utf8", "config_not_utf8", "space_not_utf8",
             "stereotype_not_utf8"])
@@ -655,7 +769,7 @@ class TestIngestCommands:
         ("m.mm", b'<map><node ID="a" CREATED="inf"/></map>'),
         ("m.mm", b'<map><node ID="a"><node ID="b" MODIFIED="1e999"/></node></map>'),
         ("m.mm", b'<map><node ID="a"><node ID="b"/><node ID="a"/></node></map>'),
-        ("m.mm", f'<map><node ID="{_synthetic_id((0, 0))}"><node/></node></map>'.encode()),
+        ("m.mm", f'<map><node ID="{path_id((0, 0))}"><node/></node></map>'.encode()),
         ("m.mm", b'<mindmap><node ID="a"/></mindmap>'),
         ("m.mm", b'<map><node ID="a"/><node ID="b"/></map>'),
         ("m.mm", b"<map><richcontent/></map>"),
