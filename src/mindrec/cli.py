@@ -103,7 +103,7 @@ def replay_event_log(path):
     sorted by timestamp (shown first on ties), each (set_id, doc_id,
     kind) once: its first row in that order.
     """
-    events = _read_events(path)
+    events = read_csv(path, partial(_rec_event, _interner()))
     # Two stable passes give the order of the key (at, kind != "shown")
     # without a key tuple per event.
     events.sort(key=lambda event: event.kind != "shown")
@@ -111,7 +111,7 @@ def replay_event_log(path):
 
     def violation(event, problem):
         # The walk meets equal rows in file order, so the first is `event`.
-        index = _read_events(path).index(event)
+        index = read_csv(path, partial(_rec_event, _interner())).index(event)
         return InvariantViolation(f"{path}: row {csv_row_of(path, index)}: "
                                   f"{event.kind!r} {problem}")
 
@@ -136,36 +136,37 @@ def replay_event_log(path):
     return replayed
 
 
-def _read_events(path):
-    """The RecEvents of an event CSV, in file order."""
-    return read_csv(path, partial(_rec_event, {}.setdefault))
+def _interner():
+    """A fresh memo for one read of a file, as a one-argument function:
+    it gives back the first equal str or int it was given, so each
+    distinct id and time of the file is held once.  A value of another
+    type comes back as it is."""
+    memo = {}
+    return lambda value: memo.setdefault(value, value) if type(value) in (str, int) else value
 
 
 def _rec_event(intern, row):
-    """The RecEvent of one event-log row; `intern` is the `setdefault` of
-    a memo kept for one read of the log, so each id and time is held once."""
-    set_id, doc_id, user_id, kind = row["set_id"], row["doc_id"], row["user_id"], row["kind"]
+    """The RecEvent of one event-log row, its fields passed through `intern`."""
+    kind = row["kind"]
     if kind not in evaluation.REC_EVENT_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    at = int(row["at"])
-    return RecEvent(intern(set_id, set_id), intern(doc_id, doc_id), intern(user_id, user_id),
-                    intern(kind, kind), intern(at, at))
+    return RecEvent(intern(row["set_id"]), intern(row["doc_id"]), intern(row["user_id"]),
+                    intern(kind), intern(int(row["at"])))
 
 
 def _set_rating(intern, row):
-    """The SetRating of one ratings row; `intern` as in `_rec_event`."""
+    """The SetRating of one ratings row, its ids passed through `intern`."""
     rating = int(row["rating"])
     if not 1 <= rating <= 5:
         raise ValueError(f"rating {rating} outside 1..5")
-    set_id, user_id = row["set_id"], row["user_id"]
-    return SetRating(intern(set_id, set_id), intern(user_id, user_id), rating, int(row["at"]))
+    return SetRating(intern(row["set_id"]), intern(row["user_id"]), rating, int(row["at"]))
 
 
 def _read_ratings(path, events):
     """Parse a ratings CSV (`set_id,user_id,rating,at`) against a replayed
     event log: a rating of a set that was not shown to the rating's user
     raises InvariantViolation naming the row."""
-    ratings = read_csv(path, partial(_set_rating, {}.setdefault))
+    ratings = read_csv(path, partial(_set_rating, _interner()))
     shown = {(event.set_id, event.user_id) for event in events if event.kind == "shown"}
     for index, rating in enumerate(ratings):
         if (rating.set_id, rating.user_id) not in shown:
@@ -176,24 +177,13 @@ def _read_ratings(path, events):
 
 
 def _recommendation_set(intern, record):
-    """The RecommendationSet of one `--sets-out` record; `intern` as in
-    `_rec_event`, applied to the str fields of the set and its items'
-    doc_ids.  A value of another type is kept as it is."""
-    fields = {f.name: _interned(intern, record[f.name])
-              for f in dataclasses.fields(RecommendationSet)}
+    """The RecommendationSet of one `--sets-out` record, its scalar fields
+    and its items' doc_ids passed through `intern`."""
+    fields = {f.name: intern(record[f.name]) for f in dataclasses.fields(RecommendationSet)}
     fields["items"] = items = [RecommendationItem(**item) for item in fields["items"]]
     for item in items:
-        item.doc_id = _interned(intern, item.doc_id)
+        item.doc_id = intern(item.doc_id)
     return RecommendationSet(**fields)
-
-
-def _interned(intern, value):
-    return intern(value, value) if type(value) is str else value
-
-
-def _read_sets(path):
-    """The RecommendationSets of a `--sets-out` file."""
-    return read_jsonl(path, partial(_recommendation_set, {}.setdefault))
 
 
 def _parse_file(parse, path):
@@ -330,8 +320,8 @@ def cmd_metrics(args):
     ratings = _read_ratings(args.ratings, events) if args.ratings else []
     set_attrs = None
     if args.sets:
-        set_attrs = {rec_set.set_id: vars(rec_set)
-                     for rec_set in _read_sets(args.sets)}
+        sets = read_jsonl(args.sets, partial(_recommendation_set, _interner()))
+        set_attrs = {rec_set.set_id: vars(rec_set) for rec_set in sets}
     if args.group_by not in (None, *GROUP_BY):
         raise MindrecError(f"--group-by {args.group_by}: not one of {', '.join(GROUP_BY)}")
     if args.group_by not in (None, "user_id") and set_attrs is None:
@@ -357,7 +347,7 @@ def cmd_reiterate(args):
 
 
 def cmd_export(args):
-    sets = _read_sets(args.sets)
+    sets = read_jsonl(args.sets, partial(_recommendation_set, _interner()))
     clicked = set()
     if args.events:
         clicked = {(event.set_id, event.doc_id) for event in replay_event_log(args.events)

@@ -89,28 +89,9 @@ class MindMap:
         return self._index[node_id]
 
 
-def _synthetic_id(place):
-    """The id of a node without ID: "syn_" and the first 12 hex digits of
-    the sha1 of its path, its index among `node` siblings at each level
-    from the root down, joined by "/" (the root's path is "0").
-
-    `place` is [the parent's place (None at the root), the index, the
-    path's sha1 or None].  The sha1s of the node and its ancestors are
-    kept in their places, so a map's paths cost time linear in its size.
-    """
-    unhashed = []
-    while place is not None and place[2] is None:
-        unhashed.append(place)
-        place = place[0]
-    digest = None if place is None else place[2]
-    for place in reversed(unhashed):
-        if digest is None:
-            digest = hashlib.sha1(str(place[1]).encode())
-        else:
-            digest = digest.copy()
-            digest.update(f"/{place[1]}".encode())
-        place[2] = digest
-    return "syn_" + digest.hexdigest()[:12]
+def _synthetic_id(path):
+    digest = hashlib.sha1("/".join(str(i) for i in path).encode()).hexdigest()
+    return "syn_" + digest[:12]
 
 
 def _timestamp(attrs, name):
@@ -146,21 +127,21 @@ def _walk_map(data, map_id, visit):
     if len(roots) != 1:
         raise NoRoot(f"expected exactly one top-level node, found {len(roots)}")
     seen, repeated = set(), []
-    stack = [(roots[0], [None, 0, None], None)]
+    stack = [(roots[0], (0,), None)]
     while stack:
-        elem, place, parent = stack.pop()
+        elem, path, parent = stack.pop()
         attrs = elem.attrib
-        node_id = attrs.get("ID") or _synthetic_id(place)
+        node_id = attrs.get("ID") or _synthetic_id(path)
         if node_id in seen:
             repeated.append(node_id)
         seen.add(node_id)
         made = visit(attrs, node_id, _timestamp(attrs, "CREATED"),
                      _timestamp(attrs, "MODIFIED"), parent)
-        if place[0] is None:
+        if path == (0,):
             root = made
         kids = elem.findall("node")
         for i in range(len(kids) - 1, -1, -1):
-            stack.append((kids[i], [place, i, None], made))
+            stack.append((kids[i], path + (i,), made))
     if repeated:
         raise MalformedInput(f"duplicate node id {repeated[0]!r} in map {map_id!r}")
     return root

@@ -1,6 +1,5 @@
 """Shared builders for synthetic mind maps, collections, and corpora."""
 
-import hashlib
 import random
 
 import pytest
@@ -32,12 +31,6 @@ WORDS = [
     "dynamic", "memoization", "hashing", "bloom", "trie", "heap",
     "stack", "deque", "partition", "shard", "replica", "quorum",
 ]
-
-
-def path_id(path):
-    """The synthetic id of a node without ID at `path`, its index among
-    `node` siblings at each level from the root down."""
-    return "syn_" + hashlib.sha1("/".join(map(str, path)).encode()).hexdigest()[:12]
 
 
 def node(nid, text="", link=None, folded=False, children=(), created_at=0):

@@ -2,15 +2,17 @@ import csv
 import json
 import random
 import re
+from functools import partial
 
 import pytest
 
 from mindrec import cli, evaluation, experiment
 from mindrec.corpus import load_corpus_jsonl
 from mindrec.errors import InvariantViolation, MalformedRow, MindrecError
-from mindrec.mindmap import MindMap, serialize_mindmap
+from mindrec.mindmap import MindMap, _synthetic_id, serialize_mindmap
+from mindrec.rows import read_jsonl
 
-from conftest import DAY_MS, WORDS, node, path_id, write_cli_fixture
+from conftest import DAY_MS, WORDS, node, write_cli_fixture
 
 
 def run(argv):
@@ -351,7 +353,7 @@ class TestInterning:
         p = tmp_path / "sets.jsonl"
         p.write_text(_set_with(set_id="set1", items=[item]) + "\n"
                      + _set_with(set_id="set2", items=[item, {**item, "doc_id": "doc2"}]) + "\n")
-        a, b = cli._read_sets(p)
+        a, b = read_jsonl(p, partial(cli._recommendation_set, cli._interner()))
         assert a.items[0].doc_id is b.items[0].doc_id
         assert a.user_id is b.user_id and a.algorithm is b.algorithm
         assert vars(a)["set_id"] == "set1"
@@ -769,7 +771,7 @@ class TestIngestCommands:
         ("m.mm", b'<map><node ID="a" CREATED="inf"/></map>'),
         ("m.mm", b'<map><node ID="a"><node ID="b" MODIFIED="1e999"/></node></map>'),
         ("m.mm", b'<map><node ID="a"><node ID="b"/><node ID="a"/></node></map>'),
-        ("m.mm", f'<map><node ID="{path_id((0, 0))}"><node/></node></map>'.encode()),
+        ("m.mm", f'<map><node ID="{_synthetic_id((0, 0))}"><node/></node></map>'.encode()),
         ("m.mm", b'<mindmap><node ID="a"/></mindmap>'),
         ("m.mm", b'<map><node ID="a"/><node ID="b"/></map>'),
         ("m.mm", b"<map><richcontent/></map>"),
