@@ -3,7 +3,7 @@ with its experimentation and evaluation harness."""
 
 from .corpus import Corpus, cleantitle, load_corpus_jsonl
 from .errors import MindrecError
-from .experiment import AlgorithmConfig, docear_combined_model, preset, random_config
+from .experiment import AlgorithmConfig, preset, random_config
 from .mindmap import MindMap, MindMapCollection, MindNode, NodeEvent, parse_mindmap
 from .usermodel import UserModel
 
@@ -17,7 +17,6 @@ __all__ = [
     "NodeEvent",
     "UserModel",
     "cleantitle",
-    "docear_combined_model",
     "load_corpus_jsonl",
     "parse_mindmap",
     "preset",

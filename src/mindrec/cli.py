@@ -9,6 +9,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import random
 import sys
 from contextlib import nullcontext
@@ -176,13 +177,26 @@ def _read_ratings(path, events):
     return ratings
 
 
+def _hashable(name, value):
+    """`value`, the id in field `name`; TypeError unless it is hashable,
+    as every id keys a dict or a set."""
+    try:
+        hash(value)
+    except TypeError:
+        raise TypeError(f"{name}: {type(value).__name__} {value!r} cannot be an id") from None
+    return value
+
+
 def _recommendation_set(intern, record):
     """The RecommendationSet of one `--sets-out` record, its scalar fields
-    and its items' doc_ids passed through `intern`."""
+    and its items' doc_ids passed through `intern`; a set_id, user_id or
+    doc_id that is not hashable raises TypeError."""
     fields = {f.name: intern(record[f.name]) for f in dataclasses.fields(RecommendationSet)}
     fields["items"] = items = [RecommendationItem(**item) for item in fields["items"]]
     for item in items:
-        item.doc_id = intern(item.doc_id)
+        item.doc_id = _hashable("doc_id", intern(item.doc_id))
+    _hashable("set_id", fields["set_id"])
+    _hashable("user_id", fields["user_id"])
     return RecommendationSet(**fields)
 
 
@@ -295,17 +309,107 @@ def cmd_offline_eval(args):
         raise InvalidConfig(f"{args.config or '--preset stereotype'}: the stereotype preset "
                             "builds no user model; only recommend serves it")
 
-    rows = []
-    for user_id in sorted(collections):
+    def evaluate(user_id):
+        user_config = config
         if space:
             rng = random.Random(matching.derive_seed(args.seed, user_id))
-            config = experiment.random_config(space, rng)
-        result = evaluation.offline_evaluate_user(collections[user_id], corpus, config)
-        if result is not None:
-            rows.append(offline_result_row(result))
+            user_config = experiment.random_config(space, rng)
+        result = evaluation.offline_evaluate_user(collections[user_id], corpus, user_config)
+        return None if result is None else offline_result_row(result)
+
+    rows = [row for row in _evaluate_in_workers(evaluate, sorted(collections)) if row is not None]
     _write_csv(args.out, ["user_id", "algorithm", "target_rank",
                           "p_at_3", "p_at_10", "mrr", "ndcg"], rows)
     return 0
+
+
+def usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _evaluate_in_workers(evaluate, users):
+    """[evaluate(user) for user in users], the users split in order into
+    one contiguous block per usable CPU, never more blocks than users.
+
+    This process runs the first block.  Each other block runs in a child
+    forked from it, which sends back its results, or the MindrecError or
+    OSError that stopped it, through a pipe (see `_worker`).  The blocks
+    are read in order, so the results, and the error raised (that of the
+    first user that fails), are the serial loop's for any block count.
+    A child that dies raises MindrecError.  Every child is reaped before
+    this returns or raises.  The program starts no thread, so forking is
+    safe.
+    """
+    n_blocks = min(usable_cpus(), len(users))
+    if n_blocks <= 1 or not hasattr(os, "fork"):
+        return [evaluate(user) for user in users]
+    import pickle
+    import signal
+
+    bounds = [len(users) * i // n_blocks for i in range(n_blocks + 1)]
+    blocks = [users[start:end] for start, end in zip(bounds, bounds[1:])]
+    children = []  # (pid, read end of its pipe, its block) not yet reaped, in block order
+    try:
+        for block in blocks[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(evaluate, block, write_fd)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb"), block))
+        results = [evaluate(user) for user in blocks[0]]
+        while children:
+            pid, pipe, block = children[0]
+            reply = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            pipe.close()
+            worker = f"the offline-eval worker for users {block[0]} to {block[-1]}"
+            if code:
+                raise MindrecError(f"{worker} exited with status {code}" if code > 0 else
+                                   f"{worker} was killed by signal {-code}")
+            try:
+                reply = pickle.loads(reply)
+            except (EOFError, pickle.UnpicklingError) as exc:
+                raise MindrecError(f"{worker} sent a short reply") from exc
+            if isinstance(reply, BaseException):
+                raise reply
+            results += reply
+        return results
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _worker(evaluate, block, write_fd):
+    """The body of a forked child: pickle [evaluate(user) for user in
+    block], or the MindrecError or OSError that stopped it, to `write_fd`.
+    It leaves with os._exit, status 0 once the reply is written, so it
+    never unwinds into the caller or flushes the parent's buffers again."""
+    import pickle
+
+    status = 1
+    try:
+        try:
+            reply = [evaluate(user) for user in block]
+        except (MindrecError, OSError) as exc:
+            reply = exc
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(reply, pipe)
+        status = 0
+    except BaseException:
+        import traceback
+        traceback.print_exc()
+        sys.stderr.flush()
+        raise  # no further than the os._exit below
+    finally:
+        os._exit(status)
 
 
 def offline_result_row(result):

@@ -205,11 +205,6 @@ def build_model(collection, corpus, config, now):
     return build_user_model(weighted, config, collection.user_id)
 
 
-def docear_combined_model(collection, corpus, now):
-    """The combined algorithm: the ``docear_combined`` preset's model."""
-    return build_model(collection, corpus, preset("docear_combined"), now)
-
-
 # --- flat key=value serialization ------------------------------------------
 
 def _flag(raw):

@@ -42,8 +42,8 @@ class MindMap:
     `_by_id` holds the nodes in pre-order (a node before its children,
     children in order), and `_parent`, `_depth` and `_index` hold each
     node's parent id (None for the root), distance from the root and
-    position among its siblings.  Link order, copying and serializing
-    rely on that order: a node's parent always comes before it.
+    position among its siblings.  Link order and copying rely on that
+    order: a node's parent always comes before it.
     """
 
     def __init__(self, map_id, root, revision=1, saved_at=0):
@@ -181,24 +181,6 @@ def read_map_links(data, map_id="map", revision=1):
 
     _walk_map(data, map_id, visit)
     return MapLinks(map_id, revision, links)
-
-
-def serialize_mindmap(mindmap):
-    """Write a MindMap back to the XML dialect (round-trip stable)."""
-    elems = {None: ET.Element("map")}  # by node id; None, the root's parent, is the map
-    for node_id, node in mindmap._by_id.items():
-        elem = elems[node_id] = ET.SubElement(elems[mindmap._parent[node_id]], "node", ID=node_id)
-        if node.text:
-            elem.set("TEXT", node.text)
-        if node.folded:
-            elem.set("FOLDED", "true")
-        if node.link:
-            elem.set("LINK", node.link)
-        if node.created_at:
-            elem.set("CREATED", str(node.created_at))
-        if node.modified_at:
-            elem.set("MODIFIED", str(node.modified_at))
-    return ET.tostring(elems[None], encoding="utf-8")
 
 
 def node_depth(mindmap, node_id):

@@ -1,6 +1,8 @@
 """Shared builders for synthetic mind maps, collections, and corpora."""
 
+import os
 import random
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -37,6 +39,33 @@ def node(nid, text="", link=None, folded=False, children=(), created_at=0):
     return MindNode(id=nid, text=text, link=link, folded=folded,
                     children=list(children), created_at=created_at,
                     modified_at=created_at)
+
+
+def serialize_mindmap(mindmap):
+    """A MindMap written back to the XML dialect parse_mindmap reads,
+    every node attribute that is set, so parsing it gives the map back."""
+    elems = {None: ET.Element("map")}  # by node id; None, the root's parent, is the map
+    for node_id in mindmap.node_ids():
+        node = mindmap.node(node_id)
+        elem = elems[node_id] = ET.SubElement(elems[mindmap.parent_id(node_id)], "node",
+                                              ID=node_id)
+        if node.text:
+            elem.set("TEXT", node.text)
+        if node.folded:
+            elem.set("FOLDED", "true")
+        if node.link:
+            elem.set("LINK", node.link)
+        if node.created_at:
+            elem.set("CREATED", str(node.created_at))
+        if node.modified_at:
+            elem.set("MODIFIED", str(node.modified_at))
+    return ET.tostring(elems[None], encoding="utf-8")
+
+
+def assert_no_child_left():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def single_map_collection(user_id, root, map_id="m1", events=None):
@@ -119,7 +148,6 @@ def corpus3():
 def write_cli_fixture(tmp_path, n_users=5, n_docs=30, seed=3,
                       now=1_700_000_000_000):
     """On-disk corpus + per-user mind-map dirs for CLI-level tests."""
-    from mindrec.mindmap import serialize_mindmap
     import json
 
     rng = random.Random(seed)

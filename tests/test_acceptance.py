@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from mindrec import cli, docear_combined_model
+from mindrec import cli
 from mindrec.corpus import Corpus
 from mindrec.evaluation import (
     RecEvent,
@@ -19,16 +19,16 @@ from mindrec.evaluation import (
     offline_evaluate_user,
     online_metrics,
 )
-from mindrec.experiment import AlgorithmConfig
+from mindrec.experiment import AlgorithmConfig, build_model, preset
 from mindrec.matching import dispatch, select_and_shuffle
 from mindrec.usermodel import (
     build_user_model,
     node_weight,
     weight_features,
 )
-from mindrec.mindmap import MindMap, MindMapCollection, revision_chains, serialize_mindmap
+from mindrec.mindmap import MindMap, MindMapCollection, revision_chains
 
-from conftest import DAY_MS, WORDS, node, scripted_collection, small_corpus
+from conftest import DAY_MS, WORDS, node, scripted_collection, serialize_mindmap, small_corpus
 from test_corpus import ReferenceIndex, brute_force_scores, ingest_both
 from test_evaluation import simple_config, user_with_citation
 from test_matching import make_user
@@ -93,7 +93,7 @@ def test_combined_algorithm_oracle():
     start = time.perf_counter()
     collection, now = scripted_collection(n_nodes=200)
     corpus = small_corpus()
-    model = docear_combined_model(collection, corpus, now)
+    model = build_model(collection, corpus, preset("docear_combined"), now)
     assert model.feature_list() == combined_oracle(collection, now)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0

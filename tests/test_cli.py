@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import random
 import re
+import signal
 from functools import partial
 
 import pytest
@@ -9,10 +11,10 @@ import pytest
 from mindrec import cli, evaluation, experiment
 from mindrec.corpus import load_corpus_jsonl
 from mindrec.errors import InvariantViolation, MalformedRow, MindrecError
-from mindrec.mindmap import MindMap, _synthetic_id, serialize_mindmap
+from mindrec.mindmap import MindMap, _synthetic_id
 from mindrec.rows import read_jsonl
 
-from conftest import DAY_MS, WORDS, node, write_cli_fixture
+from conftest import DAY_MS, WORDS, assert_no_child_left, node, serialize_mindmap, write_cli_fixture
 
 
 def run(argv):
@@ -622,6 +624,73 @@ class TestOfflineEvalCommand:
         assert run(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
+    def _offline_eval(self, tmp_path, monkeypatch, workers, evaluate=None, n_users=5):
+        """(exit status, output path) of `offline-eval` with `workers` CPUs
+        probed, each user evaluated by `evaluate(real evaluate, collection,
+        corpus, config)` if given."""
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=n_users)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: workers)
+        if evaluate is not None:
+            monkeypatch.setattr(evaluation, "offline_evaluate_user",
+                                partial(evaluate, evaluation.offline_evaluate_user))
+        out = tmp_path / "o.csv"
+        status = run(["offline-eval", "--corpus", corpus_path, "--mindmaps", maps_dir,
+                      "--seed", 3, "--now", now, "--preset", "all_maps_all_terms",
+                      "--out", out])
+        assert_no_child_left()
+        return status, out
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("failing", [("user00", "user04"), ("user02", "user03")],
+                             ids=["first_block_and_last", "two_worker_blocks"])
+    def test_first_failing_user_named(self, tmp_path, capsys, monkeypatch, workers, failing):
+        # 3 workers take user00 | user01 user02 | user03 user04
+        def evaluate(real, collection, corpus, config):
+            if collection.user_id in failing:
+                raise MindrecError(f"injected for {collection.user_id}")
+            return real(collection, corpus, config)
+
+        status, out = self._offline_eval(tmp_path, monkeypatch, workers, evaluate)
+        assert status == 1
+        assert capsys.readouterr().err == f"error: injected for {failing[0]}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("death, how", [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+        (lambda: os._exit(0), "sent a short reply"),
+        (lambda: [][0], "exited with status 1"),
+    ], ids=["exit_status", "signal", "short_reply", "unexpected_exception"])
+    def test_dead_worker_stops_the_command(self, tmp_path, capsys, monkeypatch, death, how):
+        test_pid = os.getpid()
+
+        def evaluate(real, collection, corpus, config):
+            if os.getpid() != test_pid:  # only in a forked worker
+                death()
+            return real(collection, corpus, config)
+
+        status, out = self._offline_eval(tmp_path, monkeypatch, 2, evaluate)
+        assert status == 1
+        assert capsys.readouterr().err == ("error: the offline-eval worker for users "
+                                           f"user02 to user04 {how}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers, n_users, has_fork", [(1, 3, True), (4, 1, True),
+                                                             (4, 3, False)],
+                             ids=["one_cpu", "one_user", "platform_without_fork"])
+    def test_one_block_runs_without_fork(self, tmp_path, monkeypatch, workers, n_users,
+                                         has_fork):
+        def no_fork():
+            raise AssertionError("forked")
+
+        if has_fork:
+            monkeypatch.setattr(os, "fork", no_fork)
+        else:
+            monkeypatch.delattr(os, "fork")
+        status, out = self._offline_eval(tmp_path, monkeypatch, workers, n_users=n_users)
+        assert status == 0
+        assert len(out.read_text().splitlines()) == 1 + n_users
+
 
 class TestMissingInput:
     @pytest.mark.parametrize("command, flag", [
@@ -721,6 +790,24 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and where in err
         assert not out.exists() and not (tmp_path / "export").exists()
+
+    @pytest.mark.parametrize("command", ["metrics", "export"])
+    @pytest.mark.parametrize("field", ["set_id", "user_id", "doc_id"])
+    @pytest.mark.parametrize("value", [["s1"], {"id": "s1"}], ids=["list", "dict"])
+    def test_id_that_is_not_hashable_named(self, tmp_path, capsys, command, field, value):
+        events = tmp_path / "e.csv"
+        events.write_text("set_id,doc_id,user_id,kind,at\ns1,d1,user00,shown,1\n")
+        bad = dict(items=[{"doc_id": value, "original_rank": 1, "display_rank": 1}]) \
+            if field == "doc_id" else {field: value}
+        sets = tmp_path / "sets.jsonl"
+        sets.write_text(f"{GOOD_SET}\n{_set_with(**bad)}\n")
+        out = tmp_path / "out"
+        argv = {"metrics": ["--events", events, "--sets", sets, "--group-by", "algorithm"],
+                "export": ["--sets", sets, "--events", events]}[command]
+        assert run([command, *argv, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sets}: line 2: {field}: ") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestExportCommand:

@@ -12,6 +12,10 @@ A change that keeps the outputs leaves this table alone.  A change that
 alters an output on purpose edits the entries it changes, in the same
 commit, and says which and why.
 
+`offline-eval` must write the same bytes whatever number of worker
+processes it forks, so its outputs are checked again with the CPU probe
+forced to 1, 2, 3 and more CPUs than users.
+
 `offline-eval` reads the maps through `cli.load_user_collections` and
 the online commands read the event log through `cli.replay_event_log`;
 none changes what they return, so the module parses each of them once.
@@ -33,6 +37,7 @@ from mindrec.errors import NoPositiveFeatures
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402
+from conftest import assert_no_child_left  # noqa: E402
 
 SEED = 1
 PRESETS = ("docear_combined", "all_maps_all_terms", "stereotype")
@@ -193,3 +198,27 @@ def test_recommend_reads_other_users_for_links_only(rich, tmp_path, monkeypatch)
     own = [(m.map_id, m.revision) for chain in collections[user].revisions.values()
            for m in chain]
     assert len(own) > 1 and sorted(built) == sorted(own)
+
+
+# One parse of the rich maps for every worker count below.
+_rich_collections = functools.cache(cli.load_user_collections)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, "more_than_users"])
+@pytest.mark.parametrize("name", ["docear_combined", "all_maps_all_terms", "space"])
+def test_offline_eval_bytes_do_not_depend_on_worker_count(rich, tmp_path, monkeypatch,
+                                                          name, workers):
+    """`offline-eval` writes the golden bytes however many CPUs the probe
+    reports, and leaves no child process behind."""
+    users = sorted(p.name for p in (rich / "mindmaps").iterdir())
+    monkeypatch.setattr(cli, "usable_cpus",
+                        lambda: len(users) + 1 if workers == "more_than_users" else workers)
+    monkeypatch.setattr(cli, "load_user_collections", _rich_collections)
+    space = tmp_path / "space.txt"
+    space.write_text(gen.SPACE_TEXT, encoding="utf-8")
+    out = tmp_path / "offline.csv"
+    _run("offline-eval", "--corpus", rich / "corpus.jsonl", "--mindmaps", rich / "mindmaps",
+         "--seed", SEED, "--now", gen.NOW,
+         *(["--space", space] if name == "space" else ["--preset", name]), "--out", out)
+    assert_no_child_left()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[f"offline/{name}.csv"]

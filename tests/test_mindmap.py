@@ -25,10 +25,9 @@ from mindrec.mindmap import (
     read_event_log,
     read_map_links,
     revision_chains,
-    serialize_mindmap,
 )
 
-from conftest import figure_tree, node
+from conftest import figure_tree, node, serialize_mindmap
 
 
 class TestParse:

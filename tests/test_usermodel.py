@@ -5,7 +5,7 @@ import pytest
 
 from mindrec.corpus import Corpus, citation_feature
 from mindrec.errors import EmptyCollection, InvalidConfig, NoPositiveFeatures
-from mindrec.experiment import AlgorithmConfig, build_model, docear_combined_model, preset
+from mindrec.experiment import AlgorithmConfig, build_model, preset
 from mindrec.mindmap import MindMap, MindMapCollection, NodeEvent, is_visible, revision_chains
 from mindrec.usermodel import (
     COMBINERS,
@@ -350,7 +350,7 @@ def combined_oracle(collection, now):
 class TestCombinedAlgorithm:
     def test_matches_pipeline_oracle(self, corpus3):
         collection, now = scripted_collection()
-        model = docear_combined_model(collection, corpus3, now)
+        model = build_model(collection, corpus3, preset("docear_combined"), now)
         assert model.feature_list() == combined_oracle(collection, now)
         assert all(w is None for _, w in model.features)
         assert len(model.features) <= 35
@@ -365,7 +365,7 @@ class TestCombinedAlgorithm:
         other = MindMap("m2", node("r2", "unrelated filler"))
         collection = MindMapCollection(
             "u", revision_chains([MindMap("m1", root), other]), events=events)
-        model = docear_combined_model(collection, corpus3, now)
+        model = build_model(collection, corpus3, preset("docear_combined"), now)
         assert len(model.features) > 0  # fallback (kind=any) engaged
 
     def test_preset_through_generic_pipeline(self, corpus3):
@@ -378,7 +378,7 @@ class TestCombinedAlgorithm:
         collection = MindMapCollection(
             "u", revision_chains([MindMap("m1", root), other]), events=events)
         model = build_model(collection, corpus3, preset("docear_combined"), now)
-        assert model == docear_combined_model(collection, corpus3, now)
+        assert model == build_model(collection, corpus3, preset("docear_combined"), now)
         assert model.features
 
     def test_stopword_only_text(self, corpus3):
@@ -388,10 +388,10 @@ class TestCombinedAlgorithm:
                   for nid in ("r", "a")]
         collection = single_map_collection("u", root, events=events)
         with pytest.raises(NoPositiveFeatures):
-            docear_combined_model(collection, corpus3, now)
+            build_model(collection, corpus3, preset("docear_combined"), now)
 
     def test_determinism(self, corpus3):
         collection, now = scripted_collection()
-        a = docear_combined_model(collection, corpus3, now)
-        b = docear_combined_model(collection, corpus3, now)
+        a = build_model(collection, corpus3, preset("docear_combined"), now)
+        b = build_model(collection, corpus3, preset("docear_combined"), now)
         assert a.features == b.features
