@@ -13,7 +13,6 @@ import os
 import random
 import sys
 from contextlib import nullcontext
-from functools import partial
 from operator import attrgetter
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from .mindmap import (MindMapCollection, parse_mindmap, read_event_log, read_map
                       revision_chains)
 from .rows import csv_row_of, read_csv, read_jsonl, read_text
 
+SET_FIELDS = tuple(f.name for f in dataclasses.fields(RecommendationSet))
 # metrics --group-by: the user of an event, or a scalar field of its set
 GROUP_BY = tuple(f.name for f in dataclasses.fields(RecommendationSet) if f.type is not list)
 
@@ -104,7 +104,7 @@ def replay_event_log(path):
     sorted by timestamp (shown first on ties), each (set_id, doc_id,
     kind) once: its first row in that order.
     """
-    events = read_csv(path, partial(_rec_event, _interner()))
+    events = _read_events(path)
     # Two stable passes give the order of the key (at, kind != "shown")
     # without a key tuple per event.
     events.sort(key=lambda event: event.kind != "shown")
@@ -112,7 +112,7 @@ def replay_event_log(path):
 
     def violation(event, problem):
         # The walk meets equal rows in file order, so the first is `event`.
-        index = read_csv(path, partial(_rec_event, _interner())).index(event)
+        index = _read_events(path).index(event)
         return InvariantViolation(f"{path}: row {csv_row_of(path, index)}: "
                                   f"{event.kind!r} {problem}")
 
@@ -137,37 +137,30 @@ def replay_event_log(path):
     return replayed
 
 
-def _interner():
-    """A fresh memo for one read of a file, as a one-argument function:
-    it gives back the first equal str or int it was given, so each
-    distinct id and time of the file is held once.  A value of another
-    type comes back as it is."""
-    memo = {}
-    return lambda value: memo.setdefault(value, value) if type(value) in (str, int) else value
+def _read_events(path):
+    """The RecEvents of an event CSV in file order, each distinct id and time held once."""
+    intern = {}.setdefault
 
-
-def _rec_event(intern, row):
-    """The RecEvent of one event-log row, its fields passed through `intern`."""
-    kind = row["kind"]
-    if kind not in evaluation.REC_EVENT_KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    return RecEvent(intern(row["set_id"]), intern(row["doc_id"]), intern(row["user_id"]),
-                    intern(kind), intern(int(row["at"])))
-
-
-def _set_rating(intern, row):
-    """The SetRating of one ratings row, its ids passed through `intern`."""
-    rating = int(row["rating"])
-    if not 1 <= rating <= 5:
-        raise ValueError(f"rating {rating} outside 1..5")
-    return SetRating(intern(row["set_id"]), intern(row["user_id"]), rating, int(row["at"]))
+    def build(set_id, doc_id, user_id, kind, at):
+        if kind not in evaluation.REC_EVENT_KINDS:
+            raise ValueError(f"unknown kind {kind!r}")
+        return RecEvent(intern(set_id, set_id), intern(doc_id, doc_id),
+                        intern(user_id, user_id), intern(kind, kind), intern(at := int(at), at))
+    return read_csv(path, ("set_id", "doc_id", "user_id", "kind", "at"), build)
 
 
 def _read_ratings(path, events):
-    """Parse a ratings CSV (`set_id,user_id,rating,at`) against a replayed
-    event log: a rating of a set that was not shown to the rating's user
-    raises InvariantViolation naming the row."""
-    ratings = read_csv(path, partial(_set_rating, _interner()))
+    """Parse a ratings CSV (`set_id,user_id,rating,at`), each distinct id
+    held once, against a replayed event log: a rating of a set that was
+    not shown to the rating's user raises InvariantViolation naming the row."""
+    intern = {}.setdefault
+
+    def build(set_id, user_id, rating, at):
+        rating = int(rating)
+        if not 1 <= rating <= 5:
+            raise ValueError(f"rating {rating} outside 1..5")
+        return SetRating(intern(set_id, set_id), intern(user_id, user_id), rating, int(at))
+    ratings = read_csv(path, ("set_id", "user_id", "rating", "at"), build)
     shown = {(event.set_id, event.user_id) for event in events if event.kind == "shown"}
     for index, rating in enumerate(ratings):
         if (rating.set_id, rating.user_id) not in shown:
@@ -187,17 +180,23 @@ def _hashable(name, value):
     return value
 
 
-def _recommendation_set(intern, record):
-    """The RecommendationSet of one `--sets-out` record, its scalar fields
-    and its items' doc_ids passed through `intern`; a set_id, user_id or
-    doc_id that is not hashable raises TypeError."""
-    fields = {f.name: intern(record[f.name]) for f in dataclasses.fields(RecommendationSet)}
-    fields["items"] = items = [RecommendationItem(**item) for item in fields["items"]]
-    for item in items:
-        item.doc_id = _hashable("doc_id", intern(item.doc_id))
-    _hashable("set_id", fields["set_id"])
-    _hashable("user_id", fields["user_id"])
-    return RecommendationSet(**fields)
+def _read_sets(path):
+    """The RecommendationSets of a `--sets-out` file, each distinct str or int held
+    once; a set_id, user_id or doc_id that is not hashable raises TypeError."""
+    intern = {}.setdefault
+
+    def value(v):  # JSON 1, 1.0 and true are equal keys: intern none as another
+        return intern(v, v) if type(v) is str or type(v) is int else v
+
+    def build(record):
+        fields = {name: value(record[name]) for name in SET_FIELDS}
+        fields["items"] = items = [RecommendationItem(**item) for item in fields["items"]]
+        for item in items:
+            item.doc_id = _hashable("doc_id", value(item.doc_id))
+        _hashable("set_id", fields["set_id"])
+        _hashable("user_id", fields["user_id"])
+        return RecommendationSet(**fields)
+    return read_jsonl(path, build)
 
 
 def _parse_file(parse, path):
@@ -422,10 +421,7 @@ def offline_result_row(result):
 def cmd_metrics(args):
     events = replay_event_log(args.events)
     ratings = _read_ratings(args.ratings, events) if args.ratings else []
-    set_attrs = None
-    if args.sets:
-        sets = read_jsonl(args.sets, partial(_recommendation_set, _interner()))
-        set_attrs = {rec_set.set_id: vars(rec_set) for rec_set in sets}
+    set_attrs = {s.set_id: vars(s) for s in _read_sets(args.sets)} if args.sets else None
     if args.group_by not in (None, *GROUP_BY):
         raise MindrecError(f"--group-by {args.group_by}: not one of {', '.join(GROUP_BY)}")
     if args.group_by not in (None, "user_id") and set_attrs is None:
@@ -451,7 +447,7 @@ def cmd_reiterate(args):
 
 
 def cmd_export(args):
-    sets = read_jsonl(args.sets, partial(_recommendation_set, _interner()))
+    sets = _read_sets(args.sets)
     clicked = set()
     if args.events:
         clicked = {(event.set_id, event.doc_id) for event in replay_event_log(args.events)

@@ -286,15 +286,15 @@ class MindMapCollection:
 
 
 def read_event_log(path):
-    """Read a sidecar event CSV (`map_id,node_id,kind,at`)."""
-    return read_csv(path, _node_event)
+    """Read a sidecar event CSV (`map_id,node_id,kind,at`), each distinct
+    id of the file held once."""
+    intern = {}.setdefault
 
-
-def _node_event(row):
-    kind = row["kind"]
-    if kind not in EVENT_KINDS:
-        raise ValueError(f"bad kind {kind!r}")
-    return NodeEvent(row["map_id"], row["node_id"], kind, int(row["at"]))
+    def node_event(map_id, node_id, kind, at):
+        if kind not in EVENT_KINDS:
+            raise ValueError(f"bad kind {kind!r}")
+        return NodeEvent(intern(map_id, map_id), intern(node_id, node_id), kind, int(at))
+    return read_csv(path, ("map_id", "node_id", "kind", "at"), node_event)
 
 
 def copy_mindmap(mindmap, drop_node_ids=(), strip_link_ids=()):

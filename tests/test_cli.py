@@ -12,7 +12,6 @@ from mindrec import cli, evaluation, experiment
 from mindrec.corpus import load_corpus_jsonl
 from mindrec.errors import InvariantViolation, MalformedRow, MindrecError
 from mindrec.mindmap import MindMap, _synthetic_id
-from mindrec.rows import read_jsonl
 
 from conftest import DAY_MS, WORDS, assert_no_child_left, node, serialize_mindmap, write_cli_fixture
 
@@ -173,6 +172,30 @@ class TestMetricsCommand:
         argv = ["metrics", "--events", events, "--out", out]
         assert run(argv + (["--group-by", group_by] if group_by else [])) == 0
         assert out.read_text() == "group,metric,value,n\n"
+
+    @pytest.mark.parametrize("log, fault", [
+        ("set_id,doc_id,user_id,kind,at\ns1,d1,u1\n", "'kind'"),
+        ("set_id,doc_id,user_id,at\ns1,d1,u1,1\n", "'kind'"),
+        ("set_id,doc_id,user_id,kind,at\ns1,d1,u1,bogus\n", "unknown kind 'bogus'"),
+        ("at,kind,set_id\n1,shown,s1\n", "'doc_id'"),
+    ], ids=["short_row", "header_without_kind", "short_row_with_bad_kind",
+            "header_without_doc_id"])
+    def test_lacking_column_named(self, tmp_path, capsys, log, fault):
+        events = tmp_path / "e.csv"
+        events.write_text(log)
+        assert run(["metrics", "--events", events]) == 1
+        assert capsys.readouterr().err == f"error: {events}: row 2: {fault}\n"
+
+    @pytest.mark.parametrize("command, header", [
+        ("metrics", "group,metric,value,n\n"),
+        ("reiterate", "iteration,shown,clicks,ctr,oblivious,first_clicks,ctr_first\n"),
+    ])
+    def test_header_only_log_without_a_column_reads_empty(self, tmp_path, command, header):
+        events = tmp_path / "e.csv"
+        events.write_text("set_id,doc_id,user_id,at\n")
+        out = tmp_path / "report.csv"
+        assert run([command, "--events", events, "--out", out]) == 0
+        assert out.read_text() == header
 
     @pytest.mark.parametrize("group_by, with_sets", [
         ("items", True), ("nosuch", True), ("nosuch", False), ("algorithm", False),
@@ -355,7 +378,7 @@ class TestInterning:
         p = tmp_path / "sets.jsonl"
         p.write_text(_set_with(set_id="set1", items=[item]) + "\n"
                      + _set_with(set_id="set2", items=[item, {**item, "doc_id": "doc2"}]) + "\n")
-        a, b = read_jsonl(p, partial(cli._recommendation_set, cli._interner()))
+        a, b = cli._read_sets(p)
         assert a.items[0].doc_id is b.items[0].doc_id
         assert a.user_id is b.user_id and a.algorithm is b.algorithm
         assert vars(a)["set_id"] == "set1"
@@ -791,6 +814,30 @@ class TestMalformedInput:
         assert err.startswith(f"error: {bad}: ") and where in err
         assert not out.exists() and not (tmp_path / "export").exists()
 
+    @pytest.mark.parametrize("flag, data", [
+        ("--events", "set_id,doc_id,user_id,kind,at\ns1,d1,user00,shown,1,EXTRA\n"),
+        ("--ratings", "set_id,user_id,rating,at\ns1,user00,4,2,EXTRA\n"),
+        ("events.csv", "map_id,node_id,kind,at\nm,n,created,1,EXTRA\n"),
+    ], ids=["events", "ratings", "sidecar"])
+    def test_row_longer_than_header_named(self, tmp_path, capsys, flag, data):
+        # Such a row's last fields were once dropped without a word.
+        _, maps_dir, _ = write_cli_fixture(tmp_path, n_users=2)
+        events = tmp_path / "e.csv"
+        events.write_text("set_id,doc_id,user_id,kind,at\ns1,d1,user00,shown,1\n")
+        if flag == "events.csv":
+            bad = maps_dir / "user01" / flag
+            argv = ["ingest-mindmaps", "--mindmaps", maps_dir]
+        else:
+            bad = tmp_path / "bad.csv"
+            argv = ["metrics", "--events", bad if flag == "--events" else events]
+            if flag == "--ratings":
+                argv += ["--ratings", bad]
+        bad.write_text(data)
+        assert run(argv) == 1
+        width = data.split("\n")[0].count(",") + 1
+        assert capsys.readouterr().err == \
+            f"error: {bad}: row 2: {width + 1} fields, but the header has {width}\n"
+
     @pytest.mark.parametrize("command", ["metrics", "export"])
     @pytest.mark.parametrize("field", ["set_id", "user_id", "doc_id"])
     @pytest.mark.parametrize("value", [["s1"], {"id": "s1"}], ids=["list", "dict"])
@@ -811,6 +858,44 @@ class TestMalformedInput:
 
 
 class TestExportCommand:
+    def test_typed_ids_kept(self, tmp_path):
+        # JSON 1, 1.0 and true are equal dict keys, yet each id and label
+        # comes out as the sets file wrote it.
+        events = tmp_path / "e.csv"
+        events.write_text("set_id,doc_id,user_id,kind,at\n"
+                          "s1,d1,user00,shown,1\ns1,d1,user00,clicked,2\n"
+                          "s2,d1,user00,shown,3\ns3,d1,user00,shown,4\ns4,d1,user00,shown,5\n")
+
+        def item(doc_id):
+            return {"doc_id": doc_id, "original_rank": 1, "display_rank": 1}
+        sets = tmp_path / "sets.jsonl"
+        sets.write_text("\n".join([
+            _set_with(set_id="s1", label=["x", 1], items=[item(1)]),
+            _set_with(set_id="s2", label=1.0, items=[item(1.0)]),
+            _set_with(set_id="s3", label=True, items=[item(True)]),
+            _set_with(set_id="s4", label=1, items=[item(1), item(1.0), item(True)]),
+        ]) + "\n")
+        out = tmp_path / "export"
+        assert run(["export", "--sets", sets, "--events", events, "--out", out]) == 0
+        assert (out / "recommendation_sets.csv").read_text() == (
+            "set_id,user_id,created_at,trigger,label,algorithm,items,clicks\n"
+            "s1,user00,1,requested,\"['x', 1]\",all_maps_all_terms,1,0\n"
+            "s2,user00,1,requested,1.0,all_maps_all_terms,1,0\n"
+            "s3,user00,1,requested,True,all_maps_all_terms,1,0\n"
+            "s4,user00,1,requested,1,all_maps_all_terms,3,0\n")
+        assert (out / "recommendations.csv").read_text() == (
+            "set_id,doc_id,original_rank,display_rank,clicked\n"
+            "s1,1,1,1,0\ns2,1.0,1,1,0\ns3,True,1,1,0\ns4,1,1,1,0\ns4,1.0,1,1,0\ns4,True,1,1,0\n")
+        report = tmp_path / "report.csv"
+        assert run(["metrics", "--events", events, "--sets", sets,
+                    "--group-by", "label", "--out", report]) == 0
+
+        def group(name, ctr):  # one shown row, clicked or not, nothing else
+            return "".join(f"{name},{metric},{ctr if metric.startswith('ctr') else 0:.6f},1\n"
+                           for metric in ("ctr", "ctr_set", "ctr_user", "ltr", "atr", "citr"))
+        assert report.read_text() == ("group,metric,value,n\n" + group("1", 0) + group("1.0", 0)
+                                      + group("True", 0) + group("\"['x', 1]\"", 1))
+
     def test_export_counts(self, tmp_path):
         corpus_path, maps_dir, now = write_cli_fixture(tmp_path)
         sets_path = tmp_path / "sets.jsonl"
