@@ -182,7 +182,8 @@ def _hashable(name, value):
 
 def _read_sets(path):
     """The RecommendationSets of a `--sets-out` file, each distinct str or int held
-    once; a set_id, user_id or doc_id that is not hashable raises TypeError."""
+    once; a set_id, user_id or doc_id that is not hashable raises TypeError,
+    and a key that is not a field raises ValueError."""
     intern = {}.setdefault
 
     def value(v):  # JSON 1, 1.0 and true are equal keys: intern none as another
@@ -190,6 +191,8 @@ def _read_sets(path):
 
     def build(record):
         fields = {name: value(record[name]) for name in SET_FIELDS}
+        if len(record) > len(SET_FIELDS):  # every field is there, so a key is not one
+            raise ValueError(f"unknown key {next(k for k in record if k not in fields)!r}")
         fields["items"] = items = [RecommendationItem(**item) for item in fields["items"]]
         for item in items:
             item.doc_id = _hashable("doc_id", value(item.doc_id))
@@ -332,83 +335,72 @@ def usable_cpus():
 
 def _evaluate_in_workers(evaluate, users):
     """[evaluate(user) for user in users], the users split in order into
-    one contiguous block per usable CPU, never more blocks than users.
+    one contiguous block per usable CPU, never more blocks than users; one
+    block where there is no `os.fork`.
 
-    This process runs the first block.  Each other block runs in a child
-    forked from it, which sends back its results, or the MindrecError or
-    OSError that stopped it, through a pipe (see `_worker`).  The blocks
-    are read in order, so the results, and the error raised (that of the
-    first user that fails), are the serial loop's for any block count.
-    A child that dies raises MindrecError.  Every child is reaped before
-    this returns or raises.  The program starts no thread, so forking is
-    safe.
+    This process runs the first block.  Each other block runs in a
+    fork-context `multiprocessing.Process` (the module is imported only
+    when there is a second block) that sends back its results, or the
+    MindrecError or OSError that stopped it, through a one-way Pipe (see
+    `_worker`).  The replies are read in block order, so the results, and
+    the error raised (that of the first user that fails), are the serial
+    loop's for any block count.  A worker that dies raises MindrecError.
+    Every worker is joined before this returns or raises.  The program
+    starts no thread, so forking is safe.
     """
-    n_blocks = min(usable_cpus(), len(users))
-    if n_blocks <= 1 or not hasattr(os, "fork"):
-        return [evaluate(user) for user in users]
-    import pickle
-    import signal
-
+    n_blocks = max(1, min(usable_cpus() if hasattr(os, "fork") else 1, len(users)))
     bounds = [len(users) * i // n_blocks for i in range(n_blocks + 1)]
     blocks = [users[start:end] for start, end in zip(bounds, bounds[1:])]
-    children = []  # (pid, read end of its pipe, its block) not yet reaped, in block order
+    workers = []  # (process, receive end of its pipe, its block) not yet joined, in block order
     try:
+        if n_blocks > 1:
+            import multiprocessing
+            fork = multiprocessing.get_context("fork")
         for block in blocks[1:]:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _worker(evaluate, block, write_fd)
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb"), block))
+            receive, send = fork.Pipe(duplex=False)
+            process = fork.Process(target=_worker, args=(evaluate, block, send))
+            process.start()
+            send.close()
+            workers.append((process, receive, block))
         results = [evaluate(user) for user in blocks[0]]
-        while children:
-            pid, pipe, block = children[0]
-            reply = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[0]
-            pipe.close()
+        while workers:
+            process, receive, block = workers[0]
+            try:
+                reply = receive.recv()
+            except (EOFError, OSError):  # none, or cut short by the worker's death
+                reply = None
+            process.join()
+            del workers[0]
+            receive.close()
             worker = f"the offline-eval worker for users {block[0]} to {block[-1]}"
+            code = process.exitcode
             if code:
                 raise MindrecError(f"{worker} exited with status {code}" if code > 0 else
                                    f"{worker} was killed by signal {-code}")
-            try:
-                reply = pickle.loads(reply)
-            except (EOFError, pickle.UnpicklingError) as exc:
-                raise MindrecError(f"{worker} sent a short reply") from exc
+            if reply is None:
+                raise MindrecError(f"{worker} sent a short reply")
             if isinstance(reply, BaseException):
                 raise reply
             results += reply
         return results
     finally:
-        for pid, pipe, _ in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for process, receive, _ in workers:
+            receive.close()
+            process.kill()
+            process.join()
 
 
-def _worker(evaluate, block, write_fd):
-    """The body of a forked child: pickle [evaluate(user) for user in
-    block], or the MindrecError or OSError that stopped it, to `write_fd`.
-    It leaves with os._exit, status 0 once the reply is written, so it
-    never unwinds into the caller or flushes the parent's buffers again."""
-    import pickle
-
-    status = 1
+def _worker(evaluate, block, send):
+    """The body of a worker process: send [evaluate(user) for user in
+    block], or the MindrecError or OSError that stopped it.  Its Process
+    does the rest: the standard streams are flushed before the fork, any
+    other exception prints its traceback and exits with status 1, and the
+    child always leaves through os._exit."""
     try:
-        try:
-            reply = [evaluate(user) for user in block]
-        except (MindrecError, OSError) as exc:
-            reply = exc
-        with open(write_fd, "wb") as pipe:
-            pickle.dump(reply, pipe)
-        status = 0
-    except BaseException:
-        import traceback
-        traceback.print_exc()
-        sys.stderr.flush()
-        raise  # no further than the os._exit below
-    finally:
-        os._exit(status)
+        reply = [evaluate(user) for user in block]
+    except (MindrecError, OSError) as exc:
+        reply = exc
+    send.send(reply)
 
 
 def offline_result_row(result):

@@ -557,6 +557,16 @@ class TestOfflineEvalCommand:
         assert err.startswith(f"error: {config}: ")
         assert "Traceback" not in err
 
+    def test_value_that_does_not_parse_named(self, tmp_path, capsys):
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        config = tmp_path / "bad.cfg"
+        config.write_text("node_limit = ten\n")
+        assert run(["offline-eval", "--corpus", corpus_path, "--mindmaps", maps_dir,
+                    "--seed", 3, "--now", now, "--config", config,
+                    "--out", tmp_path / "o.csv"]) == 1
+        assert capsys.readouterr().err == (f"error: {config}: node_limit: invalid literal "
+                                           "for int() with base 10: 'ten'\n")
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("source", ["--config", "--space"])
     @pytest.mark.parametrize("key, value", [
@@ -854,6 +864,20 @@ class TestMalformedInput:
         assert run([command, *argv, "--out", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {sets}: line 2: {field}: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["metrics", "export"])
+    def test_set_with_unknown_key_named(self, tmp_path, capsys, command):
+        # Such a record was once read in silence, though an item's unknown key was not.
+        events = tmp_path / "e.csv"
+        events.write_text("set_id,doc_id,user_id,kind,at\ns1,d1,user00,shown,1\n")
+        sets = tmp_path / "sets.jsonl"
+        sets.write_text(f"{GOOD_SET}\n{_set_with(colour='red', shade='dark')}\n")
+        out = tmp_path / "out"
+        argv = {"metrics": ["--events", events, "--sets", sets, "--group-by", "algorithm"],
+                "export": ["--sets", sets, "--events", events]}[command]
+        assert run([command, *argv, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {sets}: line 2: unknown key 'colour'\n"
         assert not out.exists()
 
 

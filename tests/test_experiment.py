@@ -161,6 +161,17 @@ class TestConfigFile:
         with pytest.raises(InvalidConfig, match="line 2: 'node_limit'"):
             parse_config("node_limit = 5\nnode_limit = 10\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("day_window = 30\nfallback_any = true\n", "fallback_any needs node_limit"),
+        ("node_limit = 5\nfallback_any = yes\n",
+         "fallback_any: expected true or false, got 'yes'"),
+        ("node_limit = ten\n", "node_limit: invalid literal for int"),
+    ], ids=["fallback_any_without_node_limit", "flag_not_true_or_false", "value_not_parsed"])
+    def test_bad_value(self, text, message):
+        with pytest.raises(InvalidConfig) as exc:
+            parse_config(text)
+        assert str(exc.value).startswith(message)
+
     def test_bad_choice(self):
         cfg = preset("all_maps_all_terms")
         cfg.event_kind = "bogus"

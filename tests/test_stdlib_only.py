@@ -1,7 +1,10 @@
 """The runtime stays pure standard library: every import in the package
-is of mindrec itself or of a standard-library module."""
+is of mindrec itself or of a standard-library module, and the worker
+processes of offline-eval cost the other commands no import."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,3 +30,13 @@ def test_package_imports_only_stdlib():
                for path in sources for line, name in imported_modules(path)
                if name != "mindrec" and name not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_cli_import_loads_no_worker_modules():
+    # Only offline-eval with a second block of users imports multiprocessing.
+    code = ("import sys, mindrec.cli\n"
+            "print(sorted({'multiprocessing', 'pickle', 'socket'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr

@@ -95,6 +95,33 @@ class TestSelectNodes:
         assert select_nodes(collection, cfg, now) == \
             selection_oracle(collection, cfg, now)
 
+    @pytest.mark.parametrize("cfg", [AlgorithmConfig(node_limit=10),
+                                     AlgorithmConfig(node_limit=10, visibility="visible_only")],
+                             ids=["all", "visible_only"])
+    def test_events_of_a_map_or_node_the_user_lacks_skipped(self, cfg):
+        # A sidecar may name a map the user has no file for, or a node the
+        # latest revision dropped; both are newer than every kept event.
+        tiny = self._tiny()
+        collection = single_map_collection("u", tiny.latest("m1").root, events=[
+            *tiny.events, NodeEvent("m9", "r", "created", 400),
+            NodeEvent("m1", "gone", "edited", 500)])
+        got = select_nodes(collection, cfg, now=1000)
+        assert got == selection_oracle(collection, cfg, 1000) == \
+            [("m1", "b"), ("m1", "a"), ("m1", "r")]
+
+    def test_node_deleted_by_a_later_revision_skipped(self):
+        # A derived log keeps the first revision's created event of a node
+        # that a later revision deleted.
+        first = MindMap("m1", node("r", "alpha", children=[node("a", "beta", created_at=50),
+                                                          node("gone", "gamma", created_at=90)]))
+        second = MindMap("m1", node("r", "alpha", children=[node("a", "beta", created_at=50)]),
+                         revision=2, saved_at=200)
+        collection = MindMapCollection("u", revision_chains([first, second]))
+        assert ("m1", "gone") in {(e.map_id, e.node_id) for e in collection.events}
+        cfg = AlgorithmConfig(node_limit=10)
+        got = select_nodes(collection, cfg, now=1000)
+        assert got == selection_oracle(collection, cfg, 1000) == [("m1", "a"), ("m1", "r")]
+
 
 class TestExtendSelection:
     def test_empty_extension_identity(self):
