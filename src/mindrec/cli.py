@@ -13,6 +13,7 @@ import os
 import random
 import sys
 from contextlib import nullcontext
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .evaluation import RecEvent, SetRating
 from .matching import RecommendationItem, RecommendationSet
 from .mindmap import (MindMapCollection, parse_mindmap, read_event_log, read_map_links,
                       revision_chains)
-from .rows import csv_row_of, read_csv, read_jsonl, read_text
+from .rows import csv_row_of, integer, integers, read_csv, read_jsonl, read_text
 
 SET_FIELDS = tuple(f.name for f in dataclasses.fields(RecommendationSet))
 # metrics --group-by: the user of an event, or a scalar field of its set
@@ -49,7 +50,7 @@ def _read_user(user_dir, read_map):
     for path in sorted(user_dir.glob("*.mm")):
         map_id, _, rev = path.stem.partition("__rev")
         try:
-            revision = int(rev) if rev else 1
+            revision = integer(rev) if rev else 1
             revisions.append(read_map(path.read_bytes(), map_id, revision))
         except (ValueError, MindrecError) as exc:
             raise MalformedInput(f"{path}: {exc}") from exc
@@ -139,13 +140,13 @@ def replay_event_log(path):
 
 def _read_events(path):
     """The RecEvents of an event CSV in file order, each distinct id and time held once."""
-    intern = {}.setdefault
+    intern, time = {}.setdefault, integers()
 
     def build(set_id, doc_id, user_id, kind, at):
         if kind not in evaluation.REC_EVENT_KINDS:
             raise ValueError(f"unknown kind {kind!r}")
         return RecEvent(intern(set_id, set_id), intern(doc_id, doc_id),
-                        intern(user_id, user_id), intern(kind, kind), intern(at := int(at), at))
+                        intern(user_id, user_id), intern(kind, kind), time(at))
     return read_csv(path, ("set_id", "doc_id", "user_id", "kind", "at"), build)
 
 
@@ -153,13 +154,13 @@ def _read_ratings(path, events):
     """Parse a ratings CSV (`set_id,user_id,rating,at`), each distinct id
     held once, against a replayed event log: a rating of a set that was
     not shown to the rating's user raises InvariantViolation naming the row."""
-    intern = {}.setdefault
+    intern, number = {}.setdefault, integers()
 
     def build(set_id, user_id, rating, at):
-        rating = int(rating)
+        rating = number(rating)
         if not 1 <= rating <= 5:
             raise ValueError(f"rating {rating} outside 1..5")
-        return SetRating(intern(set_id, set_id), intern(user_id, user_id), rating, int(at))
+        return SetRating(intern(set_id, set_id), intern(user_id, user_id), rating, number(at))
     ratings = read_csv(path, ("set_id", "user_id", "rating", "at"), build)
     shown = {(event.set_id, event.user_id) for event in events if event.kind == "shown"}
     for index, rating in enumerate(ratings):
@@ -311,15 +312,27 @@ def cmd_offline_eval(args):
         raise InvalidConfig(f"{args.config or '--preset stereotype'}: the stereotype preset "
                             "builds no user model; only recommend serves it")
 
-    def evaluate(user_id):
-        user_config = config
-        if space:
-            rng = random.Random(matching.derive_seed(args.seed, user_id))
-            user_config = experiment.random_config(space, rng)
-        result = evaluation.offline_evaluate_user(collections[user_id], corpus, user_config)
-        return None if result is None else offline_result_row(result)
+    def evaluate(users):
+        """The rows of those of `users` who cite something."""
+        rows = []
+        for user_id in users:
+            user_config = config
+            if space:
+                rng = random.Random(matching.derive_seed(args.seed, user_id))
+                user_config = experiment.random_config(space, rng)
+            result = evaluation.offline_evaluate_user(collections[user_id], corpus, user_config)
+            if result is not None:
+                rows.append(offline_result_row(result))
+        return rows
 
-    rows = [row for row in _evaluate_in_workers(evaluate, sorted(collections)) if row is not None]
+    # The sorted users in one contiguous block per CPU, never an empty block.
+    users = sorted(collections)
+    n_blocks = min(_fork_cpus(), len(users))
+    blocks = [users[len(users) * i // n_blocks:len(users) * (i + 1) // n_blocks]
+              for i in range(n_blocks)]
+    tasks = [(partial(evaluate, block),
+              f"the offline-eval worker for users {block[0]} to {block[-1]}") for block in blocks]
+    rows = [row for block_rows in _run_tasks(tasks) for row in block_rows]
     _write_csv(args.out, ["user_id", "algorithm", "target_rank",
                           "p_at_3", "p_at_10", "mrr", "ndcg"], rows)
     return 0
@@ -333,38 +346,43 @@ def usable_cpus():
         return os.cpu_count() or 1
 
 
-def _evaluate_in_workers(evaluate, users):
-    """[evaluate(user) for user in users], the users split in order into
-    one contiguous block per usable CPU, never more blocks than users; one
-    block where there is no `os.fork`.
+def _fork_cpus():
+    """The number of processes the program may run at once: the usable
+    CPUs, or 1 where there is no `os.fork`."""
+    return usable_cpus() if hasattr(os, "fork") else 1
 
-    This process runs the first block.  Each other block runs in a
-    fork-context `multiprocessing.Process` (the module is imported only
-    when there is a second block) that sends back its results, or the
-    MindrecError or OSError that stopped it, through a one-way Pipe (see
-    `_worker`).  The replies are read in block order, so the results, and
-    the error raised (that of the first user that fails), are the serial
-    loop's for any block count.  A worker that dies raises MindrecError.
-    Every worker is joined before this returns or raises.  The program
-    starts no thread, so forking is safe.
+
+def _run_tasks(tasks):
+    """[run() for run, _ in tasks]: `tasks` holds at most one (run, worker)
+    pair per CPU of `_fork_cpus`, each `run` independent of the others,
+    and `worker` names the process that runs it in errors.
+
+    This process runs the first task.  Where `_fork_cpus` exceeds 1, each
+    other task runs in a fork-context `multiprocessing.Process` (the
+    module is imported only then) that sends back what `run` returned, or
+    the MindrecError or OSError that stopped it, through a one-way Pipe
+    (see `_worker`); otherwise this process runs every task, in order.
+    The replies are read in task order, so the results, and the error
+    raised (that of the first task that fails), are the serial loop's.  A
+    worker that dies raises MindrecError naming it.  Every worker is
+    joined before this returns or raises.  The program starts no thread,
+    so forking is safe.
     """
-    n_blocks = max(1, min(usable_cpus() if hasattr(os, "fork") else 1, len(users)))
-    bounds = [len(users) * i // n_blocks for i in range(n_blocks + 1)]
-    blocks = [users[start:end] for start, end in zip(bounds, bounds[1:])]
-    workers = []  # (process, receive end of its pipe, its block) not yet joined, in block order
+    workers = []  # (process, receive end of its pipe, its name) not yet joined, in task order
     try:
-        if n_blocks > 1:
+        if len(tasks) > 1 and _fork_cpus() > 1:
             import multiprocessing
             fork = multiprocessing.get_context("fork")
-        for block in blocks[1:]:
-            receive, send = fork.Pipe(duplex=False)
-            process = fork.Process(target=_worker, args=(evaluate, block, send))
-            process.start()
-            send.close()
-            workers.append((process, receive, block))
-        results = [evaluate(user) for user in blocks[0]]
+            for run, worker in tasks[1:]:
+                receive, send = fork.Pipe(duplex=False)
+                process = fork.Process(target=_worker, args=(run, send))
+                process.start()
+                send.close()
+                workers.append((process, receive, worker))
+            tasks = tasks[:1]
+        results = [run() for run, _ in tasks]
         while workers:
-            process, receive, block = workers[0]
+            process, receive, worker = workers[0]
             try:
                 reply = receive.recv()
             except (EOFError, OSError):  # none, or cut short by the worker's death
@@ -372,7 +390,6 @@ def _evaluate_in_workers(evaluate, users):
             process.join()
             del workers[0]
             receive.close()
-            worker = f"the offline-eval worker for users {block[0]} to {block[-1]}"
             code = process.exitcode
             if code:
                 raise MindrecError(f"{worker} exited with status {code}" if code > 0 else
@@ -381,7 +398,7 @@ def _evaluate_in_workers(evaluate, users):
                 raise MindrecError(f"{worker} sent a short reply")
             if isinstance(reply, BaseException):
                 raise reply
-            results += reply
+            results.append(reply)
         return results
     finally:
         for process, receive, _ in workers:
@@ -390,14 +407,14 @@ def _evaluate_in_workers(evaluate, users):
             process.join()
 
 
-def _worker(evaluate, block, send):
-    """The body of a worker process: send [evaluate(user) for user in
-    block], or the MindrecError or OSError that stopped it.  Its Process
-    does the rest: the standard streams are flushed before the fork, any
-    other exception prints its traceback and exits with status 1, and the
-    child always leaves through os._exit."""
+def _worker(run, send):
+    """The body of a worker process: send what run() returns, or the
+    MindrecError or OSError that stopped it.  Its Process does the rest:
+    the standard streams are flushed before the fork, any other exception
+    prints its traceback and exits with status 1, and the child always
+    leaves through os._exit."""
     try:
-        reply = [evaluate(user) for user in block]
+        reply = run()
     except (MindrecError, OSError) as exc:
         reply = exc
     send.send(reply)
@@ -411,15 +428,30 @@ def offline_result_row(result):
 
 
 def cmd_metrics(args):
-    events = replay_event_log(args.events)
-    ratings = _read_ratings(args.ratings, events) if args.ratings else []
-    set_attrs = {s.set_id: vars(s) for s in _read_sets(args.sets)} if args.sets else None
+    def read_events():
+        events = replay_event_log(args.events)
+        return events, _read_ratings(args.ratings, events) if args.ratings else []
+
+    def read_set_groups():
+        """{set_id: the text of its --group-by field}, {} unless that is a
+        set field; every record is read and checked either way."""
+        sets = _read_sets(args.sets)
+        if args.group_by not in GROUP_BY or args.group_by == "user_id":
+            return {}
+        return {s.set_id: str(getattr(s, args.group_by)) for s in sets}
+
+    if args.sets:  # the two reads at once, the errors in this order
+        (events, ratings), set_groups = _run_tasks([
+            (read_events, f"the worker reading {args.events}"),
+            (read_set_groups, f"the worker reading {args.sets}")])
+    else:
+        (events, ratings), set_groups = read_events(), None
     if args.group_by not in (None, *GROUP_BY):
         raise MindrecError(f"--group-by {args.group_by}: not one of {', '.join(GROUP_BY)}")
-    if args.group_by not in (None, "user_id") and set_attrs is None:
+    if args.group_by not in (None, "user_id") and set_groups is None:
         raise MindrecError(f"--group-by {args.group_by}: a set field needs --sets")
     report = evaluation.online_metrics(events, ratings, group_by=args.group_by,
-                                       set_attrs=set_attrs)
+                                       set_groups=set_groups)
     _write_csv(args.out, ["group", "metric", "value", "n"],
                [[group, metric, f"{value:.6f}", n] for group, metric, value, n in report])
     if args.out:
@@ -439,11 +471,16 @@ def cmd_reiterate(args):
 
 
 def cmd_export(args):
-    sets = _read_sets(args.sets)
-    clicked = set()
-    if args.events:
-        clicked = {(event.set_id, event.doc_id) for event in replay_event_log(args.events)
-                   if event.kind == "clicked"}
+    def read_clicked():
+        return {(event.set_id, event.doc_id) for event in replay_event_log(args.events)
+                if event.kind == "clicked"}
+
+    read_sets = partial(_read_sets, args.sets)
+    if args.events:  # the two reads at once, the errors in this order
+        sets, clicked = _run_tasks([(read_sets, f"the worker reading {args.sets}"),
+                                    (read_clicked, f"the worker reading {args.events}")])
+    else:
+        sets, clicked = read_sets(), set()
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -137,24 +137,25 @@ def offline_evaluate_user(collection, corpus, config):
     )
 
 
-def online_metrics(events, ratings=(), group_by=None, set_attrs=None):
+def online_metrics(events, ratings=(), group_by=None, set_groups=None):
     """CTR family, link/annotate/cite-through rates, and mean rating.
 
     `events` is a replayed log (`cli.replay_event_log`): each (set_id,
     doc_id, kind) once, and every click after its set's shown row for the
-    same user.  `group_by`: None for one overall group, "user_id", or an
-    attribute key looked up in `set_attrs` (set_id -> {key: value}); a
-    group is the text of the value, "unknown" for a set not in
-    `set_attrs`.  Returns [(group, metric, value, n)] rows, none for an
-    empty log.
+    same user.  `group_by`: None for one overall group, "user_id", or a
+    set field, whose group of each set `set_groups` gives (set_id -> the
+    text of the field); "unknown" for a set not in `set_groups`.  Returns
+    [(group, metric, value, n)] rows, none for an empty log.
     """
+    groups = set_groups or {}
+
     def group_of(record):
         """Group of an event or a rating; both carry user_id and set_id."""
         if group_by is None:
             return "all"
         if group_by == "user_id":
             return record.user_id
-        return str((set_attrs or {}).get(record.set_id, {}).get(group_by, "unknown"))
+        return groups.get(record.set_id, "unknown")
 
     # group -> ({kind: count}, {set_id: [shown, clicked]}, {user_id: [shown, clicked]})
     tallies = {}

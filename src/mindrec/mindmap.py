@@ -11,7 +11,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 from .errors import InconsistentRevisions, MalformedInput, NoRoot, UnknownNode
-from .rows import read_csv
+from .rows import integers, read_csv
 from .text import tokenize
 
 EVENT_KINDS = ("created", "edited", "moved")
@@ -89,9 +89,21 @@ class MindMap:
         return self._index[node_id]
 
 
-def _synthetic_id(path):
-    digest = hashlib.sha1("/".join(str(i) for i in path).encode()).hexdigest()
-    return "syn_" + digest[:12]
+def _synthetic_id(step):
+    """'syn_' and the first 12 hex digits of the sha1 of a node's path, its
+    index among its parent's `node` children at each depth from the root's
+    0: "0/2/1".  `step` is [the parent's step (None for the root), the
+    index, the sha1 of the path or None]; each sha1 made is kept in its
+    step, so a map feeds each index to sha1 once, however deep it is."""
+    pending = []
+    while step[2] is None:
+        pending.append(step)
+        step = step[0]
+    digest = step[2]
+    for step in reversed(pending):
+        digest = step[2] = digest.copy()
+        digest.update(b"/%d" % step[1])
+    return "syn_" + digest.hexdigest()[:12]
 
 
 def _timestamp(attrs, name):
@@ -127,21 +139,21 @@ def _walk_map(data, map_id, visit):
     if len(roots) != 1:
         raise NoRoot(f"expected exactly one top-level node, found {len(roots)}")
     seen, repeated = set(), []
-    stack = [(roots[0], (0,), None)]
+    stack = [(roots[0], [None, 0, hashlib.sha1(b"0")], None)]
     while stack:
-        elem, path, parent = stack.pop()
+        elem, step, parent = stack.pop()
         attrs = elem.attrib
-        node_id = attrs.get("ID") or _synthetic_id(path)
+        node_id = attrs.get("ID") or _synthetic_id(step)
         if node_id in seen:
             repeated.append(node_id)
         seen.add(node_id)
         made = visit(attrs, node_id, _timestamp(attrs, "CREATED"),
                      _timestamp(attrs, "MODIFIED"), parent)
-        if path == (0,):
+        if step[0] is None:
             root = made
         kids = elem.findall("node")
         for i in range(len(kids) - 1, -1, -1):
-            stack.append((kids[i], path + (i,), made))
+            stack.append((kids[i], [step, i, None], made))
     if repeated:
         raise MalformedInput(f"duplicate node id {repeated[0]!r} in map {map_id!r}")
     return root
@@ -288,12 +300,12 @@ class MindMapCollection:
 def read_event_log(path):
     """Read a sidecar event CSV (`map_id,node_id,kind,at`), each distinct
     id of the file held once."""
-    intern = {}.setdefault
+    intern, time = {}.setdefault, integers()
 
     def node_event(map_id, node_id, kind, at):
         if kind not in EVENT_KINDS:
             raise ValueError(f"bad kind {kind!r}")
-        return NodeEvent(intern(map_id, map_id), intern(node_id, node_id), kind, int(at))
+        return NodeEvent(intern(map_id, map_id), intern(node_id, node_id), kind, time(at))
     return read_csv(path, ("map_id", "node_id", "kind", "at"), node_event)
 
 

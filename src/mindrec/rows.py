@@ -36,10 +36,34 @@ def read_text(path):
 
 
 class _Absent(KeyError):
-    """A field a row lacks: the KeyError of its column, raised by hash, == or int() of it."""
+    """A field a row lacks: the KeyError of its column, raised by hash or == of it."""
     def _lookup(self, *_):
         raise self
-    __hash__ = __eq__ = __int__ = _lookup
+    __hash__ = __eq__ = _lookup
+
+
+def integer(text):
+    """The int of `text`, ASCII digits after at most a leading '-';
+    ValueError for the other texts int() takes, such as blanks, '+', '_'
+    and digits of other scripts."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
+def integers():
+    """`integer` for the integer fields of one read of `read_csv`: each
+    distinct text is checked once and gives one int.  A text is hashed
+    before anything else, so an _Absent field raises its KeyError."""
+    memo = {}
+
+    def read(text):
+        value = memo.get(text)
+        if value is None:
+            value = memo[text] = integer(text)
+        return value
+    return read
 
 
 def read_csv(path, columns, build):
@@ -51,7 +75,7 @@ def read_csv(path, columns, build):
     header is row 1, and a blank one is malformed unless no row follows
     it, as is a row longer than the header.  A column that a shorter row
     or the header lacks is named as a dict of the row names it, `row 2:
-    'kind'`: `build` gets an _Absent, and must hash, compare or int() its
+    'kind'`: `build` gets an _Absent, and must hash or compare its
     fields in the order it checks them.
     """
     built = []
@@ -94,6 +118,6 @@ def read_jsonl(path, build):
             for number, line in enumerate(handle, start=1):
                 if line.strip():
                     built.append(build(json.loads(line)))
-        except FAULTS as exc:
+        except (*FAULTS, RecursionError) as exc:  # the json module's, for a value nested too deep
             raise _malformed(path, f"line {number}", exc) from exc
     return built

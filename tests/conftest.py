@@ -1,5 +1,6 @@
 """Shared builders for synthetic mind maps, collections, and corpora."""
 
+import hashlib
 import os
 import random
 import xml.etree.ElementTree as ET
@@ -33,6 +34,12 @@ WORDS = [
     "dynamic", "memoization", "hashing", "bloom", "trie", "heap",
     "stack", "deque", "partition", "shard", "replica", "quorum",
 ]
+
+
+def synthetic_id(path):
+    """The id of a node without `ID` at `path`, its index among its
+    parent's `node` children at each depth, the root's (0,) first."""
+    return "syn_" + hashlib.sha1("/".join(map(str, path)).encode()).hexdigest()[:12]
 
 
 def node(nid, text="", link=None, folded=False, children=(), created_at=0):

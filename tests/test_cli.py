@@ -11,9 +11,10 @@ import pytest
 from mindrec import cli, evaluation, experiment
 from mindrec.corpus import load_corpus_jsonl
 from mindrec.errors import InvariantViolation, MalformedRow, MindrecError
-from mindrec.mindmap import MindMap, _synthetic_id
+from mindrec.mindmap import MindMap
 
-from conftest import DAY_MS, WORDS, assert_no_child_left, node, serialize_mindmap, write_cli_fixture
+from conftest import (DAY_MS, WORDS, assert_no_child_left, node, serialize_mindmap,
+                      synthetic_id, write_cli_fixture)
 
 
 def run(argv):
@@ -178,8 +179,9 @@ class TestMetricsCommand:
         ("set_id,doc_id,user_id,at\ns1,d1,u1,1\n", "'kind'"),
         ("set_id,doc_id,user_id,kind,at\ns1,d1,u1,bogus\n", "unknown kind 'bogus'"),
         ("at,kind,set_id\n1,shown,s1\n", "'doc_id'"),
+        ("set_id,doc_id,user_id,kind\ns1,d1,u1,shown\n", "'at'"),
     ], ids=["short_row", "header_without_kind", "short_row_with_bad_kind",
-            "header_without_doc_id"])
+            "header_without_doc_id", "header_without_at"])
     def test_lacking_column_named(self, tmp_path, capsys, log, fault):
         events = tmp_path / "e.csv"
         events.write_text(log)
@@ -725,6 +727,105 @@ class TestOfflineEvalCommand:
         assert len(out.read_text().splitlines()) == 1 + n_users
 
 
+class TestOnlineReadsAtOnce:
+    """`metrics --sets` reads the sets file, and `export --events` the
+    event log, in a worker process while this one reads the other input,
+    and either stops as one process reading them in turn would."""
+
+    def _argv(self, tmp_path, command, **bad):
+        """The argv of `command` on small good inputs, save the `bad` input
+        paths given by name, writing to tmp_path / "out"."""
+        inputs = {"events": tmp_path / "e.csv", "ratings": tmp_path / "r.csv",
+                  "sets": tmp_path / "sets.jsonl"}
+        inputs["events"].write_text("set_id,doc_id,user_id,kind,at\n"
+                                    "s1,d1,user00,shown,1\ns1,d1,user00,clicked,2\n")
+        inputs["ratings"].write_text("set_id,user_id,rating,at\ns1,user00,4,2\n")
+        inputs["sets"].write_text(GOOD_SET + "\n")
+        inputs.update(bad)
+        events, ratings, sets, out = (*inputs.values(), tmp_path / "out")
+        return {
+            "metrics": ["metrics", "--events", events, "--ratings", ratings, "--sets", sets,
+                        "--group-by", "algorithm", "--out", out],
+            "export": ["export", "--sets", sets, "--events", events, "--out", out],
+            "metrics_without_sets": ["metrics", "--events", events, "--ratings", ratings,
+                                     "--out", out],
+            "reiterate": ["reiterate", "--events", events, "--out", out],
+        }[command]
+
+    @pytest.mark.parametrize("death, how", [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+        (lambda: os._exit(0), "sent a short reply"),
+        (lambda: [][0], "exited with status 1"),
+    ], ids=["exit_status", "signal", "short_reply", "unexpected_exception"])
+    @pytest.mark.parametrize("command, read, flag", [
+        ("metrics", "_read_sets", "--sets"),
+        ("export", "replay_event_log", "--events"),
+    ], ids=["metrics", "export"])
+    def test_dead_worker_names_its_input(self, tmp_path, capsys, monkeypatch, command, read,
+                                         flag, death, how):
+        test_pid = os.getpid()
+        real = getattr(cli, read)
+
+        def dying(path):
+            if os.getpid() != test_pid:  # only in a forked worker
+                death()
+            return real(path)
+
+        monkeypatch.setattr(cli, read, dying)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+        argv = self._argv(tmp_path, command)
+        assert run(argv) == 1
+        assert_no_child_left()
+        path = argv[argv.index(flag) + 1]
+        assert capsys.readouterr().err == f"error: the worker reading {path} {how}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("command, bad, first", [
+        ("metrics", ("events", "sets"), "events"),
+        ("metrics", ("ratings", "sets"), "ratings"),
+        ("export", ("sets", "events"), "sets"),
+    ], ids=["metrics_events_and_sets", "metrics_ratings_and_sets", "export_sets_and_events"])
+    def test_of_two_bad_inputs_the_serial_first_is_named(self, tmp_path, capsys, monkeypatch,
+                                                         command, bad, first, workers):
+        faults = {  # input -> (its text, its error)
+            "events": ("set_id,doc_id,user_id,kind,at\ns1,d1,user00,bogus,1\n",
+                       "row 2: unknown kind 'bogus'"),
+            "ratings": ("set_id,user_id,rating,at\ns1,user00,9,2\n",
+                        "row 2: rating 9 outside 1..5"),
+            "sets": ('{"set_id": "s1"', "line 1: "),
+        }
+        paths = {}
+        for name in bad:
+            paths[name] = tmp_path / "bad" / name
+            paths[name].parent.mkdir(exist_ok=True)
+            paths[name].write_text(faults[name][0])
+        monkeypatch.setattr(cli, "usable_cpus", lambda: workers)
+        assert run(self._argv(tmp_path, command, **paths)) == 1
+        assert_no_child_left()
+        assert capsys.readouterr().err.startswith(f"error: {paths[first]}: {faults[first][1]}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, workers, has_fork", [
+        ("reiterate", 4, True), ("metrics_without_sets", 4, True),
+        ("metrics", 1, True), ("export", 1, True),
+        ("metrics", 4, False), ("export", 4, False),
+    ], ids=["reiterate", "metrics_without_sets", "metrics_one_cpu", "export_one_cpu",
+            "metrics_platform_without_fork", "export_platform_without_fork"])
+    def test_runs_without_fork(self, tmp_path, monkeypatch, command, workers, has_fork):
+        def no_fork():
+            raise AssertionError("forked")
+
+        if has_fork:
+            monkeypatch.setattr(os, "fork", no_fork)
+        else:
+            monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(cli, "usable_cpus", lambda: workers)
+        assert run(self._argv(tmp_path, command)) == 0
+        assert (tmp_path / "out").exists()
+
+
 class TestMissingInput:
     @pytest.mark.parametrize("command, flag", [
         ("offline-eval", "--mindmaps"),
@@ -734,8 +835,10 @@ class TestMissingInput:
         ("ingest-corpus", "--corpus"),
         ("ingest-mindmaps", "--mindmaps"),
         ("metrics", "--events"),
+        ("metrics", "--sets"),
         ("reiterate", "--events"),
         ("export", "--sets"),
+        ("export", "--events"),
     ])
     def test_missing_path_named(self, tmp_path, capsys, command, flag):
         corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
@@ -776,6 +879,8 @@ class TestMalformedInput:
         ("metrics", "--sets", b"[1, 2]\n", "line 1"),
         ("export", "--sets", _set_item_with_unknown_key(), "line 2"),
         ("export", "--sets", b"\n[1, 2]\n", "line 2"),
+        ("metrics", "--sets", b"[" * 100_000 + b"]" * 100_000 + b"\n", "line 1"),
+        ("export", "--sets", b"[" * 100_000 + b"]" * 100_000 + b"\n", "line 1"),
         ("export", "--sets", b'{"set_id": "s\xff"}\n', "not UTF-8"),
         ("reiterate", "--events", b"set_id,doc_id,user_id,kind,at\ns1,d\xff,u,shown,1\n",
          "not UTF-8"),
@@ -788,6 +893,7 @@ class TestMalformedInput:
         ("recommend", "--stereotype", b"Some title \xff\n", "not UTF-8"),
     ], ids=["metrics_sets_not_json", "export_sets_not_json", "sets_no_set_id",
             "sets_no_items", "metrics_sets_not_a_record", "set_item_unknown_key", "export_sets_not_a_record",
+            "metrics_sets_nested_too_deep", "export_sets_nested_too_deep",
             "sets_not_utf8", "events_not_utf8", "ratings_not_utf8", "sidecar_not_utf8",
             "corpus_not_utf8", "config_not_utf8", "space_not_utf8",
             "stereotype_not_utf8"])
@@ -847,6 +953,34 @@ class TestMalformedInput:
         width = data.split("\n")[0].count(",") + 1
         assert capsys.readouterr().err == \
             f"error: {bad}: row 2: {width + 1} fields, but the header has {width}\n"
+
+    @pytest.mark.parametrize("text", ["1_000", " +2", "\u0663"],
+                             ids=["underscore", "blank_and_plus", "arabic_indic_digit"])
+    @pytest.mark.parametrize("field", ["events_at", "ratings_rating", "ratings_at",
+                                       "sidecar_at", "revision_suffix"])
+    def test_integer_that_is_not_ascii_digits_named(self, tmp_path, capsys, field, text):
+        # int() takes each of these texts, so such a file was once read in silence.
+        _, maps_dir, _ = write_cli_fixture(tmp_path, n_users=2)
+        events = tmp_path / "e.csv"
+        events.write_text("set_id,doc_id,user_id,kind,at\ns1,d1,user00,shown,1\n")
+        bad, where = tmp_path / "bad.csv", "row 2: "
+        argv = ["metrics", "--events", events, "--ratings", bad]
+        if field == "revision_suffix":
+            bad, where = maps_dir / "user01" / f"m__rev{text}.mm", ""
+            bad.write_text("<map><node/></map>")
+        elif field == "sidecar_at":
+            bad = maps_dir / "user01" / "events.csv"
+            bad.write_text(f"map_id,node_id,kind,at\nm,n,created,{text}\n")
+        elif field == "events_at":
+            bad.write_text(f"set_id,doc_id,user_id,kind,at\ns1,d1,user00,shown,{text}\n")
+            argv = ["reiterate", "--events", bad]
+        else:
+            rating, at = (text, "2") if field == "ratings_rating" else ("4", text)
+            bad.write_text(f"set_id,user_id,rating,at\ns1,user00,{rating},{at}\n")
+        if bad.parent == maps_dir / "user01":
+            argv = ["ingest-mindmaps", "--mindmaps", maps_dir]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {where}{text!r} is not an integer\n"
 
     @pytest.mark.parametrize("command", ["metrics", "export"])
     @pytest.mark.parametrize("field", ["set_id", "user_id", "doc_id"])
@@ -967,7 +1101,7 @@ class TestIngestCommands:
         ("m.mm", b'<map><node ID="a" CREATED="inf"/></map>'),
         ("m.mm", b'<map><node ID="a"><node ID="b" MODIFIED="1e999"/></node></map>'),
         ("m.mm", b'<map><node ID="a"><node ID="b"/><node ID="a"/></node></map>'),
-        ("m.mm", f'<map><node ID="{_synthetic_id((0, 0))}"><node/></node></map>'.encode()),
+        ("m.mm", f'<map><node ID="{synthetic_id((0, 0))}"><node/></node></map>'.encode()),
         ("m.mm", b'<mindmap><node ID="a"/></mindmap>'),
         ("m.mm", b'<map><node ID="a"/><node ID="b"/></map>'),
         ("m.mm", b"<map><richcontent/></map>"),

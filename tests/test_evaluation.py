@@ -201,9 +201,9 @@ class TestOnlineMetrics:
 
     def test_group_by_set_attribute(self):
         events = [shown("s1", "d"), clicked("s1", "d"), shown("s2", "e")]
-        attrs = {"s1": {"algorithm": "combined"}, "s2": {"algorithm": "stereotype"}}
+        groups = {"s1": "combined", "s2": "stereotype"}
         got = metric_map(online_metrics(events, group_by="algorithm",
-                                        set_attrs=attrs))
+                                        set_groups=groups))
         assert got[("combined", "ctr")][0] == 1.0
         assert got[("stereotype", "ctr")][0] == 0.0
 

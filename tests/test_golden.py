@@ -14,7 +14,9 @@ commit, and says which and why.
 
 `offline-eval` must write the same bytes whatever number of worker
 processes it forks, so its outputs are checked again with the CPU probe
-forced to 1, 2, 3 and more CPUs than users.
+forced to 1, 2, 3 and more CPUs than users; so are those of `metrics
+--sets` and `export --events`, which read their second input in a
+worker, with 1 and 2 CPUs.
 
 `offline-eval` reads the maps through `cli.load_user_collections` and
 the online commands read the event log through `cli.replay_event_log`;
@@ -117,13 +119,20 @@ def rich(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory, rich):
+def online(tmp_path_factory):
+    """The seed-1 online inputs."""
+    online = tmp_path_factory.mktemp("online")
+    gen.make_online(SEED, online)
+    return online
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory, rich, online):
     """{output name: sha256} of every output of the commands."""
     base = tmp_path_factory.mktemp("golden")
-    online, out = base / "online", base / "out"
-    for directory in (online, out / "offline", out / "recommend"):
+    out = base / "out"
+    for directory in (out / "offline", out / "recommend"):
         directory.mkdir(parents=True)
-    gen.make_online(SEED, online)
     space = base / "space.txt"
     space.write_text(gen.SPACE_TEXT, encoding="utf-8")
     common = ["--corpus", rich / "corpus.jsonl", "--mindmaps", rich / "mindmaps",
@@ -222,3 +231,31 @@ def test_offline_eval_bytes_do_not_depend_on_worker_count(rich, tmp_path, monkey
          *(["--space", space] if name == "space" else ["--preset", name]), "--out", out)
     assert_no_child_left()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[f"offline/{name}.csv"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["metrics_by_algorithm", "metrics_by_user", "metrics_all",
+                                  "export"])
+def test_online_bytes_do_not_depend_on_worker_count(online, tmp_path, monkeypatch, name,
+                                                    workers):
+    """`metrics --sets` and `export --events` write the same bytes with 1
+    and 2 CPUs probed: the golden ones, and for `metrics --sets` without
+    --group-by, which has no entry, those of `metrics` without --sets."""
+    monkeypatch.setattr(cli, "usable_cpus", lambda: workers)
+    events, sets, out = online / "events.csv", online / "sets.jsonl", tmp_path / "out"
+    if name == "export":
+        _run("export", "--sets", sets, "--events", events, "--out", out)
+        assert_no_child_left()
+        for table in ("recommendation_sets.csv", "recommendations.csv"):
+            assert (hashlib.sha256((out / table).read_bytes()).hexdigest()
+                    == GOLDEN[f"export/{table}"])
+        return
+    group_by = {"metrics_by_algorithm": ["--group-by", "algorithm"],
+                "metrics_by_user": ["--group-by", "user_id"], "metrics_all": []}[name]
+    _run("metrics", "--events", events, "--sets", sets, *group_by, "--out", out)
+    assert_no_child_left()
+    if name == "metrics_all":
+        _run("metrics", "--events", events, "--out", tmp_path / "want")
+        assert out.read_bytes() == (tmp_path / "want").read_bytes()
+    else:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[f"{name}.csv"]

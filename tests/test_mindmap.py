@@ -1,7 +1,11 @@
+import hashlib
 import random
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import pytest
+
+from mindrec import mindmap
 
 from mindrec.errors import (
     InconsistentRevisions,
@@ -15,7 +19,6 @@ from mindrec.mindmap import (
     MindMapCollection,
     MindNode,
     NodeEvent,
-    _synthetic_id,
     copy_mindmap,
     derive_events,
     is_visible,
@@ -27,7 +30,7 @@ from mindrec.mindmap import (
     revision_chains,
 )
 
-from conftest import figure_tree, node, serialize_mindmap
+from conftest import figure_tree, node, serialize_mindmap, synthetic_id
 
 
 class TestParse:
@@ -73,6 +76,34 @@ class TestParse:
         ids2 = parse_mindmap(raw).node_ids()
         assert ids1 == ids2
         assert len(set(ids1)) == 3
+
+    def test_synthetic_ids_of_a_deep_chain_hash_each_step_once(self, monkeypatch):
+        # Each node's whole path was once hashed anew: about 4 million
+        # bytes for a chain 2,000 deep.
+        fed = []
+
+        class CountingSha1:
+            def __init__(self, data=b""):
+                self._sha1 = hashlib.sha1()
+                self.update(data)
+
+            def update(self, data):
+                fed.append(len(data))
+                self._sha1.update(data)
+
+            def copy(self):
+                copy = CountingSha1()
+                copy._sha1 = self._sha1.copy()
+                return copy
+
+            def hexdigest(self):
+                return self._sha1.hexdigest()
+
+        monkeypatch.setattr(mindmap, "hashlib", SimpleNamespace(sha1=CountingSha1))
+        depth = 2_000
+        m = parse_mindmap("<map>" + "<node>" * depth + "</node>" * depth + "</map>")
+        assert sum(fed) < 3 * depth  # "0", then "/0" a level
+        assert m.node_ids() == [synthetic_id((0,) * (d + 1)) for d in range(depth)]
 
     def test_timestamps_default_zero(self):
         m = parse_mindmap(b'<map><node TEXT="x"/></map>')
@@ -309,7 +340,7 @@ def _reference_walk(data):
     rows = []
 
     def walk(elem, path, parent_id):
-        node_id = elem.get("ID") or _synthetic_id(path)
+        node_id = elem.get("ID") or synthetic_id(path)
         rows.append((node_id, parent_id, len(path) - 1, path[-1], elem.get("LINK")))
         for i, kid in enumerate(kid for kid in elem if kid.tag == "node"):
             walk(kid, path + (i,), node_id)

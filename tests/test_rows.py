@@ -3,6 +3,7 @@ its header into a dict and let the builder look its fields up by name."""
 
 import csv
 import random
+import re
 
 from mindrec import cli, evaluation, mindmap
 from mindrec.errors import MalformedRow
@@ -31,25 +32,32 @@ def dict_read(path, build):
     return built
 
 
+def integer(text):
+    """int of ASCII digits after at most a leading '-', the README's rule."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
 def rec_event(row):
     kind = row["kind"]
     if kind not in evaluation.REC_EVENT_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    return RecEvent(row["set_id"], row["doc_id"], row["user_id"], kind, int(row["at"]))
+    return RecEvent(row["set_id"], row["doc_id"], row["user_id"], kind, integer(row["at"]))
 
 
 def set_rating(row):
-    rating = int(row["rating"])
+    rating = integer(row["rating"])
     if not 1 <= rating <= 5:
         raise ValueError(f"rating {rating} outside 1..5")
-    return SetRating(row["set_id"], row["user_id"], rating, int(row["at"]))
+    return SetRating(row["set_id"], row["user_id"], rating, integer(row["at"]))
 
 
 def node_event(row):
     kind = row["kind"]
     if kind not in mindmap.EVENT_KINDS:
         raise ValueError(f"bad kind {kind!r}")
-    return NodeEvent(row["map_id"], row["node_id"], kind, int(row["at"]))
+    return NodeEvent(row["map_id"], row["node_id"], kind, integer(row["at"]))
 
 
 IDS = ["a", "b", ""]
@@ -65,8 +73,9 @@ FORMATS = [  # (columns, the program's reader, the reference builder)
 def field(rng, column):
     """A field of `column`, now and then a bad one."""
     good = {"kind": [*evaluation.REC_EVENT_KINDS, *mindmap.EVENT_KINDS],
-            "at": ["0", "17", "-3", " 8"], "rating": ["1", "3", "5"]}.get(column, IDS)
-    bad = {"kind": ["bogus", ""], "at": ["x", "", "1.5"], "rating": ["0", "6", "four"]}
+            "at": ["0", "17", "-3", "08"], "rating": ["1", "3", "5"]}.get(column, IDS)
+    bad = {"kind": ["bogus", ""], "at": ["x", "", "1.5", " 8", "+2", "1_0", "\u0663"],
+           "rating": ["0", "6", "four", "+4"]}
     return rng.choice(bad.get(column, IDS) if rng.random() < 0.04 else good)
 
 
@@ -100,7 +109,7 @@ def outcome(read, path):
 
 
 FAULTS = {"blank header row": "blank header", "kind ": "bad kind", "outside 1..5": "bad rating",
-          "invalid literal": "bad int", "fields, but": "long row", "'": "lacking column"}
+          "is not an integer": "bad int", "fields, but": "long row", "'": "lacking column"}
 
 
 def test_matches_the_dict_reader_on_random_files(tmp_path):
