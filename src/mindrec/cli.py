@@ -440,18 +440,20 @@ def cmd_metrics(args):
             return {}
         return {s.set_id: str(getattr(s, args.group_by)) for s in sets}
 
-    if args.sets:  # the two reads at once, the errors in this order
-        (events, ratings), set_groups = _run_tasks([
-            (read_events, f"the worker reading {args.events}"),
-            (read_set_groups, f"the worker reading {args.sets}")])
-    else:
-        (events, ratings), set_groups = read_events(), None
+    tasks = [(read_events, f"the worker reading {args.events}")]
+    if args.sets:  # read at once with the events, the errors in this order
+        tasks.append((read_set_groups, f"the worker reading {args.sets}"))
+    (events, ratings), *set_groups = _run_tasks(tasks)
     if args.group_by not in (None, *GROUP_BY):
         raise MindrecError(f"--group-by {args.group_by}: not one of {', '.join(GROUP_BY)}")
-    if args.group_by not in (None, "user_id") and set_groups is None:
+    if args.group_by in (None, "user_id"):
+        group_of = attrgetter("user_id") if args.group_by else None
+    elif not set_groups:
         raise MindrecError(f"--group-by {args.group_by}: a set field needs --sets")
-    report = evaluation.online_metrics(events, ratings, group_by=args.group_by,
-                                       set_groups=set_groups)
+    else:
+        def group_of(record, groups=set_groups[0]):
+            return groups.get(record.set_id, "unknown")
+    report = evaluation.online_metrics(events, ratings, group_of)
     _write_csv(args.out, ["group", "metric", "value", "n"],
                [[group, metric, f"{value:.6f}", n] for group, metric, value, n in report])
     if args.out:
@@ -475,12 +477,11 @@ def cmd_export(args):
         return {(event.set_id, event.doc_id) for event in replay_event_log(args.events)
                 if event.kind == "clicked"}
 
-    read_sets = partial(_read_sets, args.sets)
-    if args.events:  # the two reads at once, the errors in this order
-        sets, clicked = _run_tasks([(read_sets, f"the worker reading {args.sets}"),
-                                    (read_clicked, f"the worker reading {args.events}")])
-    else:
-        sets, clicked = read_sets(), set()
+    tasks = [(partial(_read_sets, args.sets), f"the worker reading {args.sets}")]
+    if args.events:  # read at once with the sets, the errors in this order
+        tasks.append((read_clicked, f"the worker reading {args.events}"))
+    sets, *clicked = _run_tasks(tasks)
+    clicked = clicked[0] if clicked else set()
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -117,6 +117,7 @@ def _timestamp(attrs, name):
 
 def _walk_map(data, map_id, visit):
     """Check a map's markup and visit each of its nodes in pre-order.
+    Bytes are decoded as their XML declaration or byte-order mark says.
 
     `visit(attrs, node_id, created_at, modified_at, parent)` gets a node
     element's attributes, its id (a synthetic one from its position when
@@ -127,8 +128,6 @@ def _walk_map(data, map_id, visit):
     every node has been visited, the first repeated node id; NoRoot when
     the map element does not contain exactly one top-level node.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
         doc = ET.fromstring(data)
     except ET.ParseError as exc:

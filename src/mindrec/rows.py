@@ -1,11 +1,11 @@
 """Readers for line-oriented input files: CSV with a header row, JSON lines.
 
-Each reader opens its file as UTF-8, passes every row to a `build`
-function, a CSV row as the fields of columns named once per read, by
-position, and returns what it built.  `build` sees the rows in file order
-and may keep state across the rows of one read, such as a memo that holds
-each distinct value once; a caller makes a fresh `build` for each read, so
-no state outlives it.  Any fault, be it a byte that is not UTF-8, a CSV or
+Each reader opens its file as UTF-8, skipping a leading byte-order mark,
+passes every row to a `build` function, a CSV row as the fields of
+columns named once per read, by position, and returns what it built.
+`build` sees the rows in file order and may keep state across the rows
+of one read, such as a memo that holds each distinct value once; a
+caller makes a fresh `build` for each read, so no state outlives it.  Any fault, be it a byte that is not UTF-8, a CSV or
 JSON error, or a KeyError, TypeError or ValueError raised by `build`,
 becomes a MalformedRow naming the file and the row or line.
 """
@@ -30,7 +30,7 @@ def _malformed(path, where, exc):
 
 def read_text(path):
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise _malformed(path, None, exc) from exc
 
@@ -79,7 +79,7 @@ def read_csv(path, columns, build):
     fields in the order it checks them.
     """
     built = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, [])
@@ -103,7 +103,7 @@ def read_csv(path, columns, build):
 
 def csv_row_of(path, index):
     """The number of the row that read_csv built its index-th value from."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         numbers = (reader.line_num for row in reader if row)
         return next(itertools.islice(numbers, index + 1, None))
@@ -113,7 +113,7 @@ def read_jsonl(path, build):
     """[build(value) for the JSON value on each non-blank line]; `build`
     may keep per-read state, as the module docstring says."""
     built, number = [], 0
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             for number, line in enumerate(handle, start=1):
                 if line.strip():

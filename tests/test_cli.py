@@ -891,12 +891,16 @@ class TestMalformedInput:
         ("offline-eval", "--config", b"node_limit = 5\n# \xff\n", "not UTF-8"),
         ("offline-eval", "--space", b"node_limit = 5, \xff\n", "not UTF-8"),
         ("recommend", "--stereotype", b"Some title \xff\n", "not UTF-8"),
+        ("ingest-mindmaps", "m.mm", b'<map><node ID="x" TEXT="caf\xe9"/></map>',
+         "not well-formed (invalid token): line 1, column 27"),
+        ("recommend", "m.mm", b'<map><node ID="x" TEXT="caf\xe9"/></map>',
+         "not well-formed (invalid token): line 1, column 27"),
     ], ids=["metrics_sets_not_json", "export_sets_not_json", "sets_no_set_id",
             "sets_no_items", "metrics_sets_not_a_record", "set_item_unknown_key", "export_sets_not_a_record",
             "metrics_sets_nested_too_deep", "export_sets_nested_too_deep",
             "sets_not_utf8", "events_not_utf8", "ratings_not_utf8", "sidecar_not_utf8",
             "corpus_not_utf8", "config_not_utf8", "space_not_utf8",
-            "stereotype_not_utf8"])
+            "stereotype_not_utf8", "map_not_utf8", "map_of_another_user_not_utf8"])
     def test_bad_input_named(self, tmp_path, capsys, command, flag, data, where):
         corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
         events = tmp_path / "e.csv"
@@ -915,7 +919,7 @@ class TestMalformedInput:
             "reiterate": ["--events", events, "--out", out],
             "export": ["--sets", sets, "--events", events, "--out", tmp_path / "export"],
         }[command]
-        if flag == "events.csv":
+        if not flag.startswith("--"):  # a file of user01, whose maps recommend reads for links
             bad = maps_dir / "user01" / flag
         else:
             bad = tmp_path / "bad" / "input"
@@ -1013,6 +1017,82 @@ class TestMalformedInput:
         assert run([command, *argv, "--out", out]) == 1
         assert capsys.readouterr().err == f"error: {sets}: line 2: unknown key 'colour'\n"
         assert not out.exists()
+
+
+class TestInputEncodings:
+    """A UTF-8 byte-order mark, as spreadsheet programs write one, is
+    skipped in every CSV, JSON-lines and text input; a map is decoded as
+    its XML declaration or its byte-order mark says."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("reiterate", "--events"), ("metrics", "--ratings"), ("ingest-mindmaps", "events.csv"),
+        ("ingest-corpus", "--corpus"), ("export", "--sets"),
+        ("offline-eval", "--config"), ("offline-eval", "--space"), ("recommend", "--stereotype"),
+    ], ids=["events", "ratings", "sidecar", "corpus", "sets", "config", "space", "stereotype"])
+    def test_byte_order_mark_skipped(self, tmp_path, capsys, command, flag):
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        title = json.loads(corpus_path.read_text().splitlines()[0])["title"]
+        events = tmp_path / "e.csv"
+        events.write_text("set_id,doc_id,user_id,kind,at\n"
+                          "s1,d1,user00,shown,1\ns1,d1,user00,clicked,2\n")
+        sets = tmp_path / "sets.jsonl"
+        sets.write_text(GOOD_SET + "\n")
+        out = tmp_path / "out"
+        argv = {
+            "reiterate": ["--events", events, "--out", out],
+            "metrics": ["--events", events, "--ratings", tmp_path / "r.csv", "--out", out],
+            "ingest-mindmaps": ["--mindmaps", maps_dir],
+            "ingest-corpus": ["--corpus", corpus_path, "--out", out],
+            "export": ["--sets", sets, "--events", events, "--out", out],
+            "offline-eval": ["--corpus", corpus_path, "--mindmaps", maps_dir, "--seed", 3,
+                             flag, tmp_path / "input", "--out", out],
+            "recommend": ["--corpus", corpus_path, "--mindmaps", maps_dir, "--seed", 3,
+                          "--now", now, "--user", "user00", "--stereotype", tmp_path / "input",
+                          "--p-stereotype", 1, "--out", out],
+        }[command]
+        path, text = {
+            "--events": (events, events.read_text()),
+            "--ratings": (tmp_path / "r.csv", "set_id,user_id,rating,at\ns1,user00,4,2\n"),
+            "events.csv": (maps_dir / "user01" / "events.csv",
+                           "map_id,node_id,kind,at\nmap_u1,u1n0,created,1\n"),
+            "--corpus": (corpus_path, corpus_path.read_text()),
+            "--sets": (sets, sets.read_text()),
+            "--config": (tmp_path / "input", "node_limit = 5\n"),
+            "--space": (tmp_path / "input", "node_limit = 5, 10\n"),
+            "--stereotype": (tmp_path / "input", title + "\n"),
+        }[flag]
+        outputs = []
+        for data in (text.encode(), b"\xef\xbb\xbf" + text.encode()):
+            path.write_bytes(data)
+            assert run([command, *argv]) == 0, capsys.readouterr().err
+            files = sorted(out.rglob("*")) if out.is_dir() else [out] * out.exists()
+            outputs.append((capsys.readouterr(), [f.read_bytes() for f in files]))
+            for f in files:
+                f.unlink()
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("data", [
+        b'<?xml version="1.0" encoding="ISO-8859-1"?>\n'
+        b'<map><node ID="x" TEXT="caf\xe9"><node ID="y" LINK="Caf\xe9 study"/></node></map>',
+        '<map><node ID="x" TEXT="café"><node ID="y" LINK="Café study"/></node></map>'
+        .encode("utf-16"),
+    ], ids=["declared_latin1", "utf16_with_bom"])
+    def test_map_that_declares_its_encoding(self, tmp_path, capsys, data):
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        (maps_dir / "user00" / "declared.mm").write_bytes(data)
+        assert run(["ingest-mindmaps", "--mindmaps", maps_dir]) == 0
+        assert "user00: 2 maps, 12 nodes" in capsys.readouterr().out
+        links = cli.load_user_links(maps_dir, "user01")[1]["user00"]
+        assert "Café study" in links
+        # user00 is built in full; as user01 asks, user00 is read for its links
+        for user in ("user00", "user01"):
+            assert TestIngestCommands._recommend(corpus_path, maps_dir, now, user) == 0
+        out = tmp_path / "offline.csv"
+        assert run(["offline-eval", "--corpus", corpus_path, "--mindmaps", maps_dir,
+                    "--seed", 3, "--preset", "all_maps_all_terms", "--out", out]) == 0
+        users = [row["user_id"] for row in csv.DictReader(out.read_text().splitlines())]
+        assert users == ["user00", "user01"]
+        assert capsys.readouterr().err == ""
 
 
 class TestExportCommand:

@@ -1,6 +1,7 @@
-"""Every function is used: each function or method defined in the package
-is referenced somewhere in the package or the benchmark, not only by the
-tests, save the few listed in ALLOWED with their reason."""
+"""Every function, class and constant is used: each function or method
+defined in the package, and each class or constant at a module's top
+level, is referenced somewhere in the package or the benchmark, not only
+by the tests, save the few listed in ALLOWED with their reason."""
 
 import ast
 from pathlib import Path
@@ -24,7 +25,7 @@ def referenced_names():
     names = set()
     for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
@@ -44,9 +45,32 @@ def defined_functions():
             and not (node.name.startswith("__") and node.name.endswith("__"))}
 
 
+def defined_classes_and_constants():
+    """module.name of every class and every name assigned at the top level
+    of a package module, `__all__` left out."""
+    defined = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                defined.add(f"{path.stem}.{node.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(f"{path.stem}.{name.id}" for target in targets
+                               for name in ast.walk(target)
+                               if isinstance(name, ast.Name) and name.id != "__all__")
+    return defined
+
+
 def test_every_function_is_referenced():
     functions = defined_functions()
     assert sorted(set(ALLOWED) - functions) == []  # no stale entry
     names = referenced_names()
     unused = sorted(f for f in functions - set(ALLOWED) if f.partition(".")[2] not in names)
     assert unused == []
+
+
+def test_every_class_and_constant_is_referenced():
+    defined = defined_classes_and_constants()
+    assert "cli.SET_FIELDS" in defined and "errors.MindrecError" in defined
+    names = referenced_names()
+    assert sorted(d for d in defined if d.partition(".")[2] not in names) == []

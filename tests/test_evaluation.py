@@ -1,4 +1,5 @@
 import random
+from operator import attrgetter
 
 import pytest
 
@@ -195,21 +196,20 @@ class TestOnlineMetrics:
     def test_group_by_user(self):
         events = [shown("s1", "d", user="A"), clicked("s1", "d", user="A"),
                   shown("s2", "e", user="B")]
-        got = metric_map(online_metrics(events, group_by="user_id"))
+        got = metric_map(online_metrics(events, group_of=attrgetter("user_id")))
         assert got[("A", "ctr")][0] == 1.0
         assert got[("B", "ctr")][0] == 0.0
 
     def test_group_by_set_attribute(self):
         events = [shown("s1", "d"), clicked("s1", "d"), shown("s2", "e")]
         groups = {"s1": "combined", "s2": "stereotype"}
-        got = metric_map(online_metrics(events, group_by="algorithm",
-                                        set_groups=groups))
+        got = metric_map(online_metrics(events, group_of=lambda e: groups[e.set_id]))
         assert got[("combined", "ctr")][0] == 1.0
         assert got[("stereotype", "ctr")][0] == 0.0
 
     def test_no_impressions(self):
         assert online_metrics([]) == []
-        assert online_metrics([], group_by="user_id") == []
+        assert online_metrics([], group_of=attrgetter("user_id")) == []
 
     def test_rates_bounded(self):
         rng = random.Random(4)

@@ -60,6 +60,11 @@ class TestParse:
         with pytest.raises(NoRoot):
             parse_mindmap(b'<map><node TEXT="a"/><node TEXT="b"/></map>')
 
+    def test_built_tree_with_a_repeated_id(self):
+        root = node("r", children=[node("a"), node("b", children=[node("a")])])
+        with pytest.raises(MalformedInput, match="duplicate node id 'a' in map 'm1'"):
+            MindMap("m1", root)
+
     def test_malformed_markup(self):
         with pytest.raises(MalformedInput):
             parse_mindmap(b"<map><node")

@@ -1,6 +1,7 @@
 """The runtime stays pure standard library: every import in the package
 is of mindrec itself or of a standard-library module, and the worker
-processes of offline-eval cost the other commands no import."""
+processes of offline-eval, metrics --sets and export --events cost the
+other commands no import."""
 
 import ast
 import os
@@ -33,7 +34,9 @@ def test_package_imports_only_stdlib():
 
 
 def test_cli_import_loads_no_worker_modules():
-    # Only offline-eval with a second block of users imports multiprocessing.
+    # Only a command that starts a worker imports multiprocessing: offline-eval
+    # with a second block of users, and metrics --sets and export --events
+    # with a second CPU.
     code = ("import sys, mindrec.cli\n"
             "print(sorted({'multiprocessing', 'pickle', 'socket'} & set(sys.modules)))\n")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))

@@ -273,6 +273,10 @@ class TestWeightFeatures:
         got = dict(weight_features([("xylophone", 1.0)], "tf_idf", corpus=corpus3))
         assert got["xylophone"] == 0.0
 
+    def test_unknown_scheme(self):
+        with pytest.raises(ValueError, match="unknown weighting scheme 'bm25'"):
+            weight_features([("cancer", 1.0)], "bm25")
+
     def test_weight_inheritance_linearity(self):
         base = [("cancer", 1.0), ("sun", 2.0)]
         doubled = [("cancer", 2.0), ("sun", 2.0)]
