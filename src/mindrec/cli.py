@@ -428,30 +428,31 @@ def offline_result_row(result):
 
 
 def cmd_metrics(args):
+    field = args.group_by if args.group_by in GROUP_BY and args.group_by != "user_id" else None
+
     def read_events():
         events = replay_event_log(args.events)
         return events, _read_ratings(args.ratings, events) if args.ratings else []
 
     def read_set_groups():
-        """{set_id: the text of its --group-by field}, {} unless that is a
-        set field; every record is read and checked either way."""
+        """{set_id: its `field` as text}, or {} with no field; every set is checked."""
         sets = _read_sets(args.sets)
-        if args.group_by not in GROUP_BY or args.group_by == "user_id":
-            return {}
-        return {s.set_id: str(getattr(s, args.group_by)) for s in sets}
+        return {s.set_id: str(getattr(s, field)) for s in sets} if field else {}
 
     tasks = [(read_events, f"the worker reading {args.events}")]
     if args.sets:  # read at once with the events, the errors in this order
         tasks.append((read_set_groups, f"the worker reading {args.sets}"))
-    (events, ratings), *set_groups = _run_tasks(tasks)
+    (events, ratings), *rest = _run_tasks(tasks)
     if args.group_by not in (None, *GROUP_BY):
         raise MindrecError(f"--group-by {args.group_by}: not one of {', '.join(GROUP_BY)}")
-    if args.group_by in (None, "user_id"):
+    if not field:
         group_of = attrgetter("user_id") if args.group_by else None
-    elif not set_groups:
+    elif not args.sets:
         raise MindrecError(f"--group-by {args.group_by}: a set field needs --sets")
     else:
-        def group_of(record, groups=set_groups[0]):
+        groups = rest[0]
+
+        def group_of(record):
             return groups.get(record.set_id, "unknown")
     report = evaluation.online_metrics(events, ratings, group_of)
     _write_csv(args.out, ["group", "metric", "value", "n"],

@@ -123,14 +123,15 @@ def _walk_map(data, map_id, visit):
     element's attributes, its id (a synthetic one from its position when
     it has no ID) and its timestamps; `parent` is what `visit` returned
     for the parent node, None for the root.  Returns what it returned for
-    the root.  Raises MalformedInput on unparseable markup, a root element
-    other than `map`, a timestamp that is not a finite number and, once
-    every node has been visited, the first repeated node id; NoRoot when
-    the map element does not contain exactly one top-level node.
+    the root.  Raises MalformedInput on unparseable markup or a declared
+    encoding the parser cannot use, a root element other than `map`, a
+    timestamp that is not a finite number and, once every node has been
+    visited, the first repeated node id; NoRoot when the map element does
+    not contain exactly one top-level node.
     """
     try:
         doc = ET.fromstring(data)
-    except ET.ParseError as exc:
+    except (ET.ParseError, LookupError, ValueError) as exc:
         raise MalformedInput(str(exc)) from exc
     if doc.tag != "map":
         raise MalformedInput(f"root element is {doc.tag!r}, expected 'map'")

@@ -43,6 +43,11 @@ def _set_item_with_unknown_key():
     return f"{GOOD_SET}\n{_set_with(items=[item])}\n".encode()
 
 
+def _map_declaring(encoding):
+    """A well-formed map whose declared encoding the XML parser cannot use."""
+    return b'<?xml version="1.0" encoding="%s"?><map><node ID="x" TEXT="a"/></map>' % encoding
+
+
 class TestMetricsCommand:
     def test_ctr_worked_example(self, tmp_path, capsys):
         events = tmp_path / "e.csv"
@@ -895,12 +900,19 @@ class TestMalformedInput:
          "not well-formed (invalid token): line 1, column 27"),
         ("recommend", "m.mm", b'<map><node ID="x" TEXT="caf\xe9"/></map>',
          "not well-formed (invalid token): line 1, column 27"),
+
+        ("ingest-mindmaps", "m.mm", _map_declaring(b"utf-9"), "unknown encoding: utf-9"),
+        ("recommend", "m.mm", _map_declaring(b"utf-9"), "unknown encoding: utf-9"),
+        ("ingest-mindmaps", "m.mm", _map_declaring(b"Shift_JIS"), "multi-byte encodings"),
+        ("recommend", "m.mm", _map_declaring(b"Shift_JIS"), "multi-byte encodings"),
     ], ids=["metrics_sets_not_json", "export_sets_not_json", "sets_no_set_id",
             "sets_no_items", "metrics_sets_not_a_record", "set_item_unknown_key", "export_sets_not_a_record",
             "metrics_sets_nested_too_deep", "export_sets_nested_too_deep",
             "sets_not_utf8", "events_not_utf8", "ratings_not_utf8", "sidecar_not_utf8",
             "corpus_not_utf8", "config_not_utf8", "space_not_utf8",
-            "stereotype_not_utf8", "map_not_utf8", "map_of_another_user_not_utf8"])
+            "stereotype_not_utf8", "map_not_utf8", "map_of_another_user_not_utf8",
+            "map_unknown_encoding", "map_of_another_user_unknown_encoding",
+            "map_multibyte_encoding", "map_of_another_user_multibyte_encoding"])
     def test_bad_input_named(self, tmp_path, capsys, command, flag, data, where):
         corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
         events = tmp_path / "e.csv"
