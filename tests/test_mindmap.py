@@ -71,6 +71,13 @@ class TestParse:
         with pytest.raises(MalformedInput):
             parse_mindmap(b'<tree><node TEXT="x"/></tree>')
 
+    @pytest.mark.parametrize("encoding", [b"utf-9", b"Shift_JIS"], ids=["unknown", "multi_byte"])
+    def test_declared_encoding_the_parser_cannot_use(self, encoding):
+        data = b'<?xml version="1.0" encoding="%s"?><map><node TEXT="x"/></map>' % encoding
+        for read in (parse_mindmap, mindmap.read_map_links):
+            with pytest.raises(MalformedInput):
+                read(data)
+
     def test_unknown_attributes_ignored(self):
         m = parse_mindmap(b'<map><node TEXT="x" COLOR="#fff" STYLE="fork"/></map>')
         assert m.root.text == "x"
