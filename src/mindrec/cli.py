@@ -2,7 +2,9 @@
 offline evaluation sweeps, event-log metrics, and dataset export.
 
 Every randomized subcommand takes --seed, and --now pins the clock, so
-runs are reproducible byte for byte.
+runs are reproducible byte for byte.  `offline-eval` accepts --now but
+never reads it: each user is evaluated at the time of their removed
+citation.
 """
 
 import argparse
@@ -45,7 +47,12 @@ def _read_user(user_dir, read_map):
     revisions.  A map or sidecar that cannot be read raises a MindrecError
     naming it; then, with or without a sidecar, two revisions of a map
     with one number raise InconsistentRevisions naming the directory.
+    A directory name that is not UTF-8 raises MalformedInput first.
     """
+    try:
+        user_dir.name.encode("utf-8")  # the user id, which output files hold
+    except UnicodeEncodeError:
+        raise MalformedInput(f"{os.fsencode(user_dir)!r}: user directory is not UTF-8") from None
     revisions = []
     for path in sorted(user_dir.glob("*.mm")):
         map_id, _, rev = path.stem.partition("__rev")
@@ -269,8 +276,8 @@ def cmd_ingest_mindmaps(args):
     collections = load_user_collections(args.mindmaps)
     for user_id in sorted(collections):
         collection = collections[user_id]
-        n_nodes = sum(len(m.node_ids()) for m in collection.latest_maps())
-        print(f"{user_id}: {len(collection.revisions)} maps, {n_nodes} nodes, "
+        n_nodes = sum(len(m.node_ids()) for m in collection.maps.values())
+        print(f"{user_id}: {len(collection.maps)} maps, {n_nodes} nodes, "
               f"{len(collection.events)} events")
     return 0
 
@@ -353,9 +360,9 @@ def _fork_cpus():
 
 
 def _run_tasks(tasks):
-    """[run() for run, _ in tasks]: `tasks` holds at most one (run, worker)
-    pair per CPU of `_fork_cpus`, each `run` independent of the others,
-    and `worker` names the process that runs it in errors.
+    """[run() for run, _ in tasks]: `tasks` holds (run, worker) pairs,
+    each `run` independent of the others, and `worker` names the process
+    that runs it in errors.
 
     This process runs the first task.  Where `_fork_cpus` exceeds 1, each
     other task runs in a fork-context `multiprocessing.Process` (the
@@ -515,12 +522,10 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="mindrec")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, corpus=False, mindmaps=False, seeded=False):
-        if corpus:
-            p.add_argument("--corpus", required=True)
-        if mindmaps:
+    def common(p, maps=False):
+        p.add_argument("--corpus", required=True)
+        if maps:
             p.add_argument("--mindmaps", required=True)
-        if seeded:
             p.add_argument("--seed", type=int, required=True)
             p.add_argument("--now", type=int, default=0)
         p.add_argument("--out")
@@ -533,15 +538,15 @@ def build_parser():
         return group
 
     p = sub.add_parser("ingest-corpus")
-    common(p, corpus=True)
+    common(p)
     p.set_defaults(func=cmd_ingest_corpus)
 
     p = sub.add_parser("ingest-mindmaps")
-    common(p, mindmaps=True)
+    p.add_argument("--mindmaps", required=True)
     p.set_defaults(func=cmd_ingest_mindmaps)
 
     p = sub.add_parser("recommend")
-    common(p, corpus=True, mindmaps=True, seeded=True)
+    common(p, maps=True)
     config_choice(p)
     p.add_argument("--user", required=True)
     p.add_argument("--stereotype")
@@ -551,7 +556,7 @@ def build_parser():
     p.set_defaults(func=cmd_recommend)
 
     p = sub.add_parser("offline-eval")
-    common(p, corpus=True, mindmaps=True, seeded=True)
+    common(p, maps=True)
     config_choice(p).add_argument("--space")
     p.set_defaults(func=cmd_offline_eval)
 

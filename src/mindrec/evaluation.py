@@ -60,19 +60,14 @@ def compute_ndcg(candidate_ids, relevant_ids):
 
 def _creation_times(collection):
     """(map_id, node_id) -> time of the node's latest created event."""
-    created = {}
-    for event in collection.events:
-        if event.kind == "created":
-            key = (event.map_id, event.node_id)
-            created[key] = max(created.get(key, event.at), event.at)
-    return created
+    return {(e.map_id, e.node_id): e.at for e in collection.events if e.kind == "created"}
 
 
 def _citation_nodes(collection, created):
     """(created_at, map_id, node_id, link) for every link-bearing node
     in the latest revisions, newest first."""
     found = []
-    for mindmap in collection.latest_maps():
+    for mindmap in collection.maps.values():
         for node_id in mindmap.node_ids():
             node = mindmap.node(node_id)
             if node.link:
@@ -102,7 +97,7 @@ def offline_evaluate_user(collection, corpus, config):
             relevant.append(doc_id)
 
     pruned_maps = []
-    for mindmap in collection.latest_maps():
+    for mindmap in collection.maps.values():
         drop = {
             node_id for node_id in mindmap.node_ids()
             if created.get((mindmap.map_id, node_id),

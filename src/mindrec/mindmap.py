@@ -115,7 +115,7 @@ def _timestamp(attrs, name):
         raise MalformedInput(f"{name}={raw!r} is not a finite number") from None
 
 
-def _walk_map(data, map_id, visit):
+def _walk_map(data, visit):
     """Check a map's markup and visit each of its nodes in pre-order.
     Bytes are decoded as their XML declaration or byte-order mark says.
 
@@ -124,10 +124,9 @@ def _walk_map(data, map_id, visit):
     it has no ID) and its timestamps; `parent` is what `visit` returned
     for the parent node, None for the root.  Returns what it returned for
     the root.  Raises MalformedInput on unparseable markup or a declared
-    encoding the parser cannot use, a root element other than `map`, a
-    timestamp that is not a finite number and, once every node has been
-    visited, the first repeated node id; NoRoot when the map element does
-    not contain exactly one top-level node.
+    encoding the parser cannot use, a root element other than `map` or a
+    timestamp that is not a finite number; NoRoot when the map element
+    does not contain exactly one top-level node.  Node ids are not checked.
     """
     try:
         doc = ET.fromstring(data)
@@ -138,30 +137,23 @@ def _walk_map(data, map_id, visit):
     roots = [child for child in doc if child.tag == "node"]
     if len(roots) != 1:
         raise NoRoot(f"expected exactly one top-level node, found {len(roots)}")
-    seen, repeated = set(), []
     stack = [(roots[0], [None, 0, hashlib.sha1(b"0")], None)]
     while stack:
         elem, step, parent = stack.pop()
         attrs = elem.attrib
-        node_id = attrs.get("ID") or _synthetic_id(step)
-        if node_id in seen:
-            repeated.append(node_id)
-        seen.add(node_id)
-        made = visit(attrs, node_id, _timestamp(attrs, "CREATED"),
-                     _timestamp(attrs, "MODIFIED"), parent)
+        made = visit(attrs, attrs.get("ID") or _synthetic_id(step),
+                     _timestamp(attrs, "CREATED"), _timestamp(attrs, "MODIFIED"), parent)
         if step[0] is None:
             root = made
         kids = elem.findall("node")
         for i in range(len(kids) - 1, -1, -1):
             stack.append((kids[i], [step, i, None], made))
-    if repeated:
-        raise MalformedInput(f"duplicate node id {repeated[0]!r} in map {map_id!r}")
     return root
 
 
 def parse_mindmap(data, map_id="map", revision=1):
-    """Parse raw mind-map markup into a MindMap saved at the latest
-    MODIFIED of its nodes; faults raise as in `_walk_map`."""
+    """Parse raw mind-map markup into a MindMap saved at the latest MODIFIED
+    of its nodes; faults raise as in `_walk_map`, then a repeated id in MindMap."""
 
     def visit(attrs, node_id, created_at, modified_at, parent):
         node = MindNode(node_id, attrs.get("TEXT", ""), attrs.get("LINK") or None,
@@ -171,7 +163,7 @@ def parse_mindmap(data, map_id="map", revision=1):
             parent.children.append(node)
         return node
 
-    mindmap = MindMap(map_id, _walk_map(data, map_id, visit), revision=revision)
+    mindmap = MindMap(map_id, _walk_map(data, visit), revision=revision)
     mindmap.saved_at = max(node.modified_at for node in mindmap._by_id.values())
     return mindmap
 
@@ -184,14 +176,19 @@ MapLinks = namedtuple("MapLinks", "map_id revision links")
 def read_map_links(data, map_id="map", revision=1):
     """The MapLinks of raw mind-map markup, read without building the map;
     every fault `parse_mindmap` rejects raises the same error here."""
-    links = []
+    links, seen, repeated = [], set(), []
 
     def visit(attrs, node_id, created_at, modified_at, parent):
+        if node_id in seen:
+            repeated.append(node_id)
+        seen.add(node_id)
         link = attrs.get("LINK")
         if link:
             links.append(link)
 
-    _walk_map(data, map_id, visit)
+    _walk_map(data, visit)
+    if repeated:
+        raise MalformedInput(f"duplicate node id {repeated[0]!r} in map {map_id!r}")
     return MapLinks(map_id, revision, links)
 
 
@@ -264,36 +261,35 @@ def derive_events(chain):
 
 
 class MindMapCollection:
-    """All of one user's mind maps (with revision history) plus events."""
+    """One user's mind maps, `maps` = {map_id: its latest revision}, and
+    node `events`, which ascend by (at, map_id, node_id, kind): the last
+    event of a node or a map in that order is its latest."""
 
     def __init__(self, user_id, chains, events=None):
         """`chains`: {map_id: [MindMap, ...]}, as `revision_chains` returns it.
 
-        When `events` is None they are derived from the revision chains;
-        an explicit event log (the canonical source) overrides derivation.
-        For maps with a single revision and no explicit events, a created
-        event per node is synthesized from the node's created_at.
+        When `events` is None they are derived from the chains: each node
+        of a map's first revision is created at its created_at, and each
+        later revision adds the events of `derive_events` at its saved_at.
+        An explicit event log (the canonical source) overrides derivation.
         """
         self.user_id = user_id
-        self.revisions = chains
         if events is None:
             events = []
-            for chain in self.revisions.values():
+            for chain in chains.values():
                 first = chain[0]
                 events += [NodeEvent(first.map_id, node.id, "created", node.created_at)
                            for node in first._by_id.values()]
                 events += derive_events(chain)
         self.events = sorted(events, key=lambda e: (e.at, e.map_id, e.node_id, e.kind))
-
-    def latest(self, map_id):
-        return self.revisions[map_id][-1]
+        self.maps = {map_id: chain[-1] for map_id, chain in chains.items()}
 
     def latest_maps(self):
-        return [chain[-1] for chain in self.revisions.values()]
+        return list(self.maps.values())
 
     def links(self):
         """The links of the latest maps, maps in order, nodes in pre-order."""
-        return [node.link for mindmap in self.latest_maps()
+        return [node.link for mindmap in self.maps.values()
                 for node in mindmap._by_id.values() if node.link]
 
 

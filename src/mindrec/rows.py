@@ -11,6 +11,7 @@ becomes a MalformedRow naming the file and the row or line.
 """
 
 import csv
+import functools
 import itertools
 import json
 from operator import itemgetter
@@ -25,6 +26,8 @@ def _malformed(path, where, exc):
     if isinstance(exc, UnicodeDecodeError):
         byte = exc.object[exc.start]
         return MalformedRow(f"{path}: not UTF-8 ({exc.reason} 0x{byte:02x})")
+    if isinstance(exc, UnicodeEncodeError):  # a JSON escape of a lone surrogate
+        return MalformedRow(f"{path}: {where}: not UTF-8 ({exc.reason} {exc.object[exc.start]!r})")
     return MalformedRow(f"{path}: {where}: {exc}")
 
 
@@ -56,14 +59,7 @@ def integers():
     """`integer` for the integer fields of one read of `read_csv`: each
     distinct text is checked once and gives one int.  A text is hashed
     before anything else, so an _Absent field raises its KeyError."""
-    memo = {}
-
-    def read(text):
-        value = memo.get(text)
-        if value is None:
-            value = memo[text] = integer(text)
-        return value
-    return read
+    return functools.cache(integer)
 
 
 def read_csv(path, columns, build):
@@ -117,7 +113,10 @@ def read_jsonl(path, build):
         try:
             for number, line in enumerate(handle, start=1):
                 if line.strip():
-                    built.append(build(json.loads(line)))
+                    value = json.loads(line)
+                    if "\\u" in line:  # an escape may give a lone surrogate, which is not UTF-8
+                        json.dumps(value, ensure_ascii=False).encode("utf-8")
+                    built.append(build(value))
         except (*FAULTS, RecursionError) as exc:  # the json module's, for a value nested too deep
             raise _malformed(path, f"line {number}", exc) from exc
     return built

@@ -49,7 +49,7 @@ def select_nodes(collection, cfg, now):
     With fallback_any, fewer than node_limit nodes means selecting again
     with event_kind "any".
     """
-    if not collection.revisions:
+    if not collection.maps:
         raise EmptyCollection(f"user {collection.user_id!r} has no mind maps")
 
     events = collection.events
@@ -60,24 +60,17 @@ def select_nodes(collection, cfg, now):
         events = [e for e in events if e.at >= cutoff]
 
     if cfg.map_limit is not None:
-        latest_per_map = {}
-        for e in events:
-            latest_per_map[e.map_id] = max(latest_per_map.get(e.map_id, e.at), e.at)
+        latest_per_map = {e.map_id: e.at for e in events}  # events ascend by time
         kept = sorted(latest_per_map, key=lambda m: (-latest_per_map[m], m))
         kept = set(kept[: cfg.map_limit])
         events = [e for e in events if e.map_id in kept]
 
-    latest_event = {}
-    for e in events:
-        key = (e.map_id, e.node_id)
-        latest_event[key] = max(latest_event.get(key, e.at), e.at)
+    latest_event = {(e.map_id, e.node_id): e.at for e in events}
 
     selected = []
     for (map_id, node_id), at in latest_event.items():
-        if map_id not in collection.revisions:
-            continue
-        latest = collection.latest(map_id)
-        if node_id not in latest:
+        latest = collection.maps.get(map_id)
+        if latest is None or node_id not in latest:
             continue
         if cfg.visibility != "all":
             visible = is_visible(latest, node_id)
@@ -116,7 +109,7 @@ def extend_selection(collection, selection, extension):
             result.append(key)
 
     for map_id, node_id in selection:
-        latest = collection.latest(map_id)
+        latest = collection.maps[map_id]
         node = latest.node(node_id)
         parent = latest.parent_id(node_id)
         if "children" in extension:
@@ -153,7 +146,7 @@ def weigh_nodes(collection, selection, cfg):
         return [(map_id, node_id, 1.0) for map_id, node_id in selection]
     weighted = []
     for map_id, node_id in selection:
-        latest = collection.latest(map_id)
+        latest = collection.maps[map_id]
         stats = (node_depth(latest, node_id),) + node_stats(latest, node_id)
         scores = [node_weight(stats, m, cfg.transform, cfg.direction) for m in cfg.metrics]
         weighted.append((map_id, node_id, COMBINERS[cfg.combiner](scores)))
@@ -169,7 +162,7 @@ def extract_features(collection, weighted_nodes, feature_type, remove_stopwords,
     """
     occurrences = []
     for map_id, node_id, weight in weighted_nodes:
-        node = collection.latest(map_id).node(node_id)
+        node = collection.maps[map_id].node(node_id)
         if feature_type in ("terms", "both"):
             for token in tokenize(node.text, remove_stopwords=remove_stopwords):
                 occurrences.append((token, weight))
@@ -181,7 +174,7 @@ def extract_features(collection, weighted_nodes, feature_type, remove_stopwords,
 def _user_document_frequency(collection, corpus):
     """feature -> number of the user's latest-revision maps containing it."""
     udf = {}
-    for mindmap in collection.latest_maps():
+    for mindmap in collection.maps.values():
         present = set()
         for node_id in mindmap.node_ids():
             node = mindmap.node(node_id)
@@ -210,7 +203,7 @@ def weight_features(occurrences, scheme, corpus=None, collection=None):
         return [(feature, value * corpus.idf(feature)) for feature, value in sorted(tf.items())]
     if scheme == "tf_iduf":
         udf = _user_document_frequency(collection, corpus)
-        n_maps = len(collection.revisions)
+        n_maps = len(collection.maps)
         return [(feature, value * math.log(n_maps / udf[feature]) if feature in udf else 0.0)
                 for feature, value in sorted(tf.items())]
     raise ValueError(f"unknown weighting scheme {scheme!r}")

@@ -946,6 +946,18 @@ class TestMalformedInput:
         assert err.startswith(f"error: {bad}: ") and where in err
         assert not out.exists() and not (tmp_path / "export").exists()
 
+    @pytest.mark.parametrize("command, flag, data, where", [
+        ("export", "--sets", (_set_with(set_id="s\ud800") + "\n").encode(),
+         "line 1: not UTF-8 (surrogates not allowed '\\ud800')"),
+        ("metrics", "--sets", "\n".join([GOOD_SET, _set_with(label="\udfff"), ""]).encode(),
+         "line 2: not UTF-8"),
+        ("ingest-corpus", "--corpus", b'{"title": "\\ud800"}\n', "line 1: not UTF-8"),
+    ], ids=["export_sets", "metrics_sets", "corpus"])
+    def test_escaped_lone_surrogate_named(self, tmp_path, capsys, command, flag, data, where):
+        # a \u escape of half a surrogate pair once reached an output file,
+        # which cannot hold it, and ended in a traceback
+        self.test_bad_input_named(tmp_path, capsys, command, flag, data, where)
+
     @pytest.mark.parametrize("flag, data", [
         ("--events", "set_id,doc_id,user_id,kind,at\ns1,d1,user00,shown,1,EXTRA\n"),
         ("--ratings", "set_id,user_id,rating,at\ns1,user00,4,2,EXTRA\n"),
@@ -1180,6 +1192,29 @@ class TestIngestCommands:
         assert run(["ingest-mindmaps", "--mindmaps", maps_dir]) == 0
         out = capsys.readouterr().out
         assert "user00" in out and "user01" in out
+
+    def test_ingest_mindmaps_takes_no_out(self, tmp_path, capsys):
+        # --out was once accepted, and no file was written
+        _, maps_dir, _ = write_cli_fixture(tmp_path, n_users=1)
+        with pytest.raises(SystemExit) as exit_:
+            run(["ingest-mindmaps", "--mindmaps", maps_dir, "--out", tmp_path / "s.txt"])
+        assert exit_.value.code == 2 and "--out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, user", [
+        ("offline-eval", None), ("recommend", "user00"), ("recommend", os.fsdecode(b"user\xff")),
+    ], ids=["offline_eval", "recommend_another_user", "recommend_that_user"])
+    def test_user_directory_not_utf8_named(self, tmp_path, capsys, command, user):
+        # its name, the user id, once reached the output file and ended in a traceback
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        bad = maps_dir / os.fsdecode(b"user\xff")
+        os.rename(maps_dir / "user01", bad)
+        out = tmp_path / "out.csv"
+        argv = [command, "--corpus", corpus_path, "--mindmaps", maps_dir,
+                "--seed", 3, "--now", now, "--out", out]
+        assert run(argv + (["--user", user] if user else [])) == 1
+        assert capsys.readouterr().err == \
+            f"error: {os.fsencode(bad)!r}: user directory is not UTF-8\n"
+        assert not out.exists()
 
     @staticmethod
     def _recommend(corpus_path, maps_dir, now, user="user00", *extra):

@@ -125,6 +125,15 @@ class TestResolveIngest:
         with pytest.raises(MalformedRow, match=f"^{re.escape(str(path))}: line 3: "):
             load_corpus_jsonl(path)
 
+    def test_escaped_surrogate_pair_read(self, tmp_path):
+        # only a lone surrogate is malformed: a pair is one character, and
+        # an escaped backslash before "u" is no escape
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"title": "Smile \\ud83d\\ude00", "terms": ["a\\\\ud800"]}\n',
+                        encoding="utf-8")
+        corpus = load_corpus_jsonl(path)
+        assert list(corpus.documents.values()) == ["Smile \U0001F600"]
+
     def test_posting_sums_match_bags(self):
         corpus = Corpus()
         corpus.ingest_document("other paper", body_terms=["alpha"])

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import weakref
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
@@ -292,6 +293,19 @@ class TestDeriveEvents:
         collection = MindMapCollection("u", revision_chains([r1, r2, r3]))
         created = {e.node_id for e in collection.events if e.kind == "created"}
         assert created >= set(r3.node_ids())
+
+    def test_collection_keeps_only_the_latest_revision(self):
+        r1 = self._rev(node("r", "a", created_at=5), 1, 10)
+        r2 = self._rev(node("r", "a", children=[node("c")]), 2, 20)
+        first = weakref.ref(r1)
+        chains = revision_chains([r1, r2])
+        del r1
+        collection = MindMapCollection("u", chains)
+        del chains
+        assert first() is None
+        assert collection.maps == {"m": r2}
+        assert collection.events == [NodeEvent("m", "r", "created", 5),
+                                     NodeEvent("m", "c", "created", 20)]
 
 
 class TestEventLog:

@@ -38,9 +38,9 @@ def selection_oracle(collection, cfg, now):
         latest[(e.map_id, e.node_id)] = max(latest.get((e.map_id, e.node_id), 0), e.at)
     rows = []
     for (m, n), at in latest.items():
-        if m not in collection.revisions or n not in collection.latest(m):
+        if m not in collection.maps or n not in collection.maps[m]:
             continue
-        vis = is_visible(collection.latest(m), n)
+        vis = is_visible(collection.maps[m], n)
         if cfg.visibility == "visible_only" and not vis:
             continue
         if cfg.visibility == "invisible_only" and vis:
@@ -102,7 +102,7 @@ class TestSelectNodes:
         # A sidecar may name a map the user has no file for, or a node the
         # latest revision dropped; both are newer than every kept event.
         tiny = self._tiny()
-        collection = single_map_collection("u", tiny.latest("m1").root, events=[
+        collection = single_map_collection("u", tiny.maps["m1"].root, events=[
             *tiny.events, NodeEvent("m9", "r", "created", 400),
             NodeEvent("m1", "gone", "edited", 500)])
         got = select_nodes(collection, cfg, now=1000)
@@ -126,8 +126,8 @@ class TestSelectNodes:
 class TestExtendSelection:
     def test_empty_extension_identity(self):
         collection, _ = scripted_collection(n_nodes=40)
-        selection = [(m, n) for m in list(collection.revisions)[:1]
-                     for n in collection.latest(m).node_ids()[:3]]
+        selection = [(m, n) for m in list(collection.maps)[:1]
+                     for n in collection.maps[m].node_ids()[:3]]
         assert extend_selection(collection, selection, frozenset()) == selection
 
     def test_lonely_root_unchanged(self):
@@ -139,8 +139,8 @@ class TestExtendSelection:
 
     def test_relation_scan_oracle(self):
         collection, _ = scripted_collection(n_nodes=80, seed=13)
-        map_id = list(collection.revisions)[0]
-        mindmap = collection.latest(map_id)
+        map_id = list(collection.maps)[0]
+        mindmap = collection.maps[map_id]
         ids = mindmap.node_ids()
         selection = [(map_id, ids[5]), (map_id, ids[11])]
         extension = frozenset({"children", "siblings"})
@@ -340,7 +340,7 @@ def combined_oracle(collection, now):
     extended = list(selection)
     have = set(selection)
     for m, n in selection:
-        mm = collection.latest(m)
+        mm = collection.maps[m]
         for c in mm.node(n).children:
             if (m, c.id) not in have:
                 have.add((m, c.id))
@@ -354,7 +354,7 @@ def combined_oracle(collection, now):
 
     tf = {}
     for m, n in extended:
-        mm = collection.latest(m)
+        mm = collection.maps[m]
         depth = node_depth(mm, n)
         siblings = node_stats(mm, n)[1]
         w = 0.0
@@ -371,7 +371,7 @@ def combined_oracle(collection, now):
             seen.update(tokenize(mm.node(nid).text))
         for t in seen:
             udf[t] = udf.get(t, 0) + 1
-    n_maps = len(collection.revisions)
+    n_maps = len(collection.maps)
     weighted = [(t, v * math.log(n_maps / udf[t])) for t, v in tf.items()]
     weighted = [(t, w) for t, w in weighted if w > 0]
     weighted.sort(key=lambda p: (-p[1], p[0]))
