@@ -3,6 +3,7 @@ from operator import attrgetter
 
 import pytest
 
+from mindrec import evaluation
 from mindrec.corpus import Corpus
 from mindrec.evaluation import (
     RecEvent,
@@ -13,7 +14,7 @@ from mindrec.evaluation import (
     reiteration_report,
 )
 from mindrec.experiment import AlgorithmConfig
-from mindrec.mindmap import MindMap, MindMapCollection, revision_chains
+from mindrec.mindmap import MindMap, MindMapCollection, NodeEvent, copy_mindmap, revision_chains
 from mindrec.usermodel import DAY_MS
 
 from conftest import node, single_map_collection
@@ -136,6 +137,130 @@ class TestOfflineEvaluate:
         collection = MindMapCollection("u", revision_chains(first.latest_maps() + [later]))
         result = offline_evaluate_user(collection, corpus, simple_config())
         assert result.target_rank == 1
+
+
+TITLES = ["Paper A", "Paper B", "Paper C"]
+TIMES = [10, 20, 30, 40]  # few, so creation times tie
+
+
+def random_user(rng):
+    """One user of 1-3 maps whose node ids repeat across maps, each map's
+    nodes created at a few times, some linking a few titles and two
+    linking the first, with a sidecar that re-creates some nodes, omits
+    others' created events and names a node no map holds, or else with a
+    map's events derived from a second revision."""
+    maps, nodes = [], []
+    for map_id in rng.sample(["ma", "mb", "mc"], rng.randint(1, 3)):
+        tree = [node("r", "root words", created_at=rng.choice(TIMES))]
+        for i in range(1, rng.randint(2, 7)):
+            child = node(f"n{i}", f"words {i}", created_at=rng.choice(TIMES))
+            rng.choice(tree).children.append(child)
+            tree.append(child)
+        for each in tree:
+            if rng.random() < 0.4:
+                each.link = rng.choice(TITLES)
+        maps.append(MindMap(map_id, tree[0]))
+        nodes += [(map_id, each) for each in tree]
+    for _, each in rng.sample(nodes, 2):
+        each.link = TITLES[0]
+
+    if rng.random() < 0.5:
+        events = []
+        for map_id, each in nodes + [(maps[0].map_id, node("gone"))]:
+            for _ in range(rng.choice([0, 1, 1, 2])):
+                events.append(NodeEvent(map_id, each.id, "created", rng.choice(TIMES)))
+            if rng.random() < 0.5:
+                events.append(NodeEvent(map_id, each.id, rng.choice(["edited", "moved"]),
+                                        rng.choice(TIMES)))
+        return MindMapCollection("u", revision_chains(maps), events=events)
+    first = maps[0]
+    root = copy_mindmap(first).root
+    root.children.append(node("new", "added later", link=rng.choice(TITLES),
+                              created_at=rng.choice(TIMES)))
+    second = MindMap(first.map_id, root, revision=2, saved_at=rng.choice(TIMES))
+    return MindMapCollection("u", revision_chains(maps + [second]))
+
+
+def reference_offline(collection):
+    """(the time of the removed citation, [(map_id, [(node_id, text, link)]
+    in pre-order)] of the pruned maps, the pruned events, the target title,
+    the relevant titles), written from the README's "Offline evaluation"
+    paragraph, for a user who cites something."""
+    def born(map_id, each):
+        times = [e.at for e in collection.events
+                 if e.kind == "created" and (e.map_id, e.node_id) == (map_id, each.id)]
+        return max(times) if times else each.created_at
+
+    def preorder(each):
+        yield each
+        for child in each.children:
+            yield from preorder(child)
+
+    cites = [(born(m.map_id, each), m.map_id, each.id, each.link)
+             for m in collection.maps.values() for each in preorder(m.root) if each.link]
+    newest = []
+    while cites and len(newest) < 10:
+        latest = max(at for at, *_ in cites)
+        pick = min(c for c in cites if c[0] == latest)  # ties: map id, then node id
+        newest.append(pick)
+        cites.remove(pick)
+    now, target_map, target_node, target_title = newest[0]
+
+    def kept(map_id, each):
+        if born(map_id, each) > now:
+            return []
+        link = None if (map_id, each.id) == (target_map, target_node) else each.link
+        return [(each.id, each.text, link)] + [
+            row for child in each.children for row in kept(map_id, child)]
+
+    pruned = [(m.map_id, kept(m.map_id, m.root)) for m in collection.maps.values()]
+    pruned = [(map_id, rows) for map_id, rows in pruned if rows]
+    surviving = {(map_id, row[0]) for map_id, rows in pruned for row in rows}
+    events = [e for e in collection.events
+              if e.at <= now and (e.map_id, e.node_id) in surviving]
+    return now, pruned, events, target_title, [title for *_, title in newest]
+
+
+class TestOfflineMatchesReference:
+    def test_random_users(self, monkeypatch):
+        # build_model's arguments are recorded, and retrieval gives a random
+        # pool of the corpus, so the target and the relevant set show in the result
+        rng = random.Random(24)
+        calls, pools = [], []
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return "model"
+
+        def random_pool(corpus, model):
+            doc_ids = sorted(corpus.documents)
+            rng.shuffle(doc_ids)
+            pools.append(doc_ids[:rng.randint(1, len(doc_ids))])
+            return [(doc_id, 1.0) for doc_id in pools[-1]]
+
+        monkeypatch.setattr(evaluation, "build_model", recording)
+        monkeypatch.setattr(evaluation, "retrieve_candidates", random_pool)
+        for trial in range(300):
+            collection = random_user(rng)
+            corpus = Corpus()
+            corpus.freeze({"u": collection.links()})
+            calls.clear()
+            result = offline_evaluate_user(collection, corpus, simple_config())
+            expected = reference_offline(collection)
+            now, pruned_maps, events, target_title, relevant_titles = expected
+            [((pruned, _, _), kwargs)] = calls
+            assert kwargs == {"now": now}, trial
+            assert pruned.user_id == "u"
+            assert [(m.map_id, [(n, m.node(n).text, m.node(n).link) for n in m.node_ids()])
+                    for m in pruned.maps.values()] == pruned_maps, trial
+            assert pruned.events == events, trial
+
+            candidates = pools[-1]
+            target = corpus.lookup(target_title)
+            rank = candidates.index(target) + 1 if target in candidates else None
+            relevant = [corpus.lookup(title) for title in relevant_titles]
+            assert (result.target_rank, result.ndcg) == \
+                (rank, pytest.approx(compute_ndcg(candidates, relevant))), trial
 
 
 def shown(set_id, doc, user="u", at=0):
