@@ -16,7 +16,7 @@ import random
 import sys
 from contextlib import nullcontext
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from . import evaluation, experiment, matching
@@ -30,6 +30,7 @@ from .mindmap import (MindMapCollection, parse_mindmap, read_event_log, read_map
 from .rows import csv_row_of, integer, integers, read_csv, read_jsonl, read_text
 
 SET_FIELDS = tuple(f.name for f in dataclasses.fields(RecommendationSet))
+ITEM_FIELDS = tuple(f.name for f in dataclasses.fields(RecommendationItem))
 # metrics --group-by: the user of an event, or a scalar field of its set
 GROUP_BY = tuple(f.name for f in dataclasses.fields(RecommendationSet) if f.type is not list)
 
@@ -55,9 +56,9 @@ def _read_user(user_dir, read_map):
         raise MalformedInput(f"{os.fsencode(user_dir)!r}: user directory is not UTF-8") from None
     revisions = []
     for path in sorted(user_dir.glob("*.mm")):
-        map_id, _, rev = path.stem.partition("__rev")
+        map_id, suffix, rev = path.stem.partition("__rev")
         try:
-            revision = integer(rev) if rev else 1
+            revision = integer(rev) if suffix else 1
             revisions.append(read_map(path.read_bytes(), map_id, revision))
         except (ValueError, MindrecError) as exc:
             raise MalformedInput(f"{path}: {exc}") from exc
@@ -191,18 +192,23 @@ def _hashable(name, value):
 def _read_sets(path):
     """The RecommendationSets of a `--sets-out` file, each distinct str or int held
     once; a set_id, user_id or doc_id that is not hashable raises TypeError,
-    and a key that is not a field raises ValueError."""
-    intern = {}.setdefault
+    and a key of a record or an item that is not a field raises ValueError."""
+    intern, item_values = {}.setdefault, itemgetter(*ITEM_FIELDS)
 
     def value(v):  # JSON 1, 1.0 and true are equal keys: intern none as another
         return intern(v, v) if type(v) is str or type(v) is int else v
 
+    def check_keys(record, names):  # `record` holds every one of `names`
+        if len(record) > len(names):
+            raise ValueError(f"unknown key {next(k for k in record if k not in names)!r}")
+
     def build(record):
         fields = {name: value(record[name]) for name in SET_FIELDS}
-        if len(record) > len(SET_FIELDS):  # every field is there, so a key is not one
-            raise ValueError(f"unknown key {next(k for k in record if k not in fields)!r}")
-        fields["items"] = items = [RecommendationItem(**item) for item in fields["items"]]
-        for item in items:
+        check_keys(record, SET_FIELDS)
+        fields["items"] = items = [RecommendationItem(*item_values(raw))
+                                   for raw in record["items"]]
+        for item, raw in zip(items, record["items"]):
+            check_keys(raw, ITEM_FIELDS)
             item.doc_id = _hashable("doc_id", value(item.doc_id))
         _hashable("set_id", fields["set_id"])
         _hashable("user_id", fields["user_id"])
@@ -311,9 +317,7 @@ def cmd_offline_eval(args):
     corpus = load_corpus_jsonl(args.corpus)
     collections = load_user_collections(args.mindmaps)
     corpus.freeze({user_id: c.links() for user_id, c in collections.items()})
-    space = None
-    if args.space:
-        space = _parse_file(experiment.parse_space, args.space)
+    space = _parse_file(experiment.parse_space, args.space) if args.space else None
     config = None if space else _load_config(args)
     if config is not None and config.preset_name == "stereotype":
         raise InvalidConfig(f"{args.config or '--preset stereotype'}: the stereotype preset "
@@ -518,6 +522,12 @@ def probability(text):
     return p
 
 
+def utf8(text):
+    """`text`; UnicodeEncodeError for argv bytes that are not UTF-8 (lone surrogates)."""
+    text.encode("utf-8")
+    return text
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="mindrec")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -551,7 +561,7 @@ def build_parser():
     p.add_argument("--user", required=True)
     p.add_argument("--stereotype")
     p.add_argument("--p-stereotype", type=probability, default=matching.DEFAULT_P_STEREOTYPE)
-    p.add_argument("--label", default="")
+    p.add_argument("--label", type=utf8, default="")
     p.add_argument("--sets-out")
     p.set_defaults(func=cmd_recommend)
 

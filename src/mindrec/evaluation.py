@@ -58,56 +58,36 @@ def compute_ndcg(candidate_ids, relevant_ids):
     return dcg / idcg if idcg else 0.0
 
 
-def _creation_times(collection):
-    """(map_id, node_id) -> time of the node's latest created event."""
-    return {(e.map_id, e.node_id): e.at for e in collection.events if e.kind == "created"}
-
-
-def _citation_nodes(collection, created):
-    """(created_at, map_id, node_id, link) for every link-bearing node
-    in the latest revisions, newest first."""
-    found = []
-    for mindmap in collection.maps.values():
-        for node_id in mindmap.node_ids():
-            node = mindmap.node(node_id)
-            if node.link:
-                at = created.get((mindmap.map_id, node_id), node.created_at)
-                found.append((at, mindmap.map_id, node_id, node.link))
-    found.sort(key=lambda t: (-t[0], t[1], t[2]))
-    return found
-
-
 def offline_evaluate_user(collection, corpus, config):
     """Remove the most recently added citation (and everything newer),
     rebuild the model, and check where the removed paper ranks.  A map
     whose root is newer than that citation is left out whole.  The corpus
     must be frozen over the collection.  A user who cites nothing gets
     None."""
-    created = _creation_times(collection)
-    citations = _citation_nodes(collection, created)
+    # A node came to be at its latest created event, else at its CREATED time.
+    created = {(e.map_id, e.node_id): e.at for e in collection.events if e.kind == "created"}
+    born, citations = {}, []  # citations: (-born, map_id, node_id, link)
+    for map_id, mindmap in collection.maps.items():
+        for node_id in mindmap.node_ids():
+            node = mindmap.node(node_id)
+            at = born[map_id, node_id] = created.get((map_id, node_id), node.created_at)
+            if node.link:
+                citations.append((-at, map_id, node_id, node.link))
     if not citations:
         return None
-    target_at, target_map, target_node, target_link = citations[0]
-    target_doc = corpus.lookup(target_link)
-
-    relevant = []
-    for _, _, _, link in citations[:10]:
-        doc_id = corpus.lookup(link)
-        if doc_id not in relevant:
-            relevant.append(doc_id)
+    citations.sort()  # newest first, ties by map id, then node id
+    _, target_map, target_node, _ = citations[0]
+    target_at = born[target_map, target_node]
+    relevant = list(dict.fromkeys(corpus.lookup(link) for *_, link in citations[:10]))
+    target_doc = relevant[0]
 
     pruned_maps = []
-    for mindmap in collection.maps.values():
-        drop = {
-            node_id for node_id in mindmap.node_ids()
-            if created.get((mindmap.map_id, node_id),
-                           mindmap.node(node_id).created_at) > target_at
-        }
+    for map_id, mindmap in collection.maps.items():
+        drop = {node_id for node_id in mindmap.node_ids() if born[map_id, node_id] > target_at}
         if mindmap.root.id in drop:
             continue
-        strip = {target_node} if mindmap.map_id == target_map else set()
-        pruned_maps.append(copy_mindmap(mindmap, drop_node_ids=drop,
-                                        strip_link_ids=strip))
+        strip = {target_node} if map_id == target_map else set()
+        pruned_maps.append(copy_mindmap(mindmap, drop_node_ids=drop, strip_link_ids=strip))
     surviving = {(m.map_id, n) for m in pruned_maps for n in m.node_ids()}
     events = [e for e in collection.events
               if (e.map_id, e.node_id) in surviving and e.at <= target_at]

@@ -126,25 +126,26 @@ class AlgorithmConfig:
                 f"scheme {self.scheme!r} does not fit feature_type {self.feature_type!r}")
 
 
-# One candidate list per drawable field, in a fixed draw order so that a
-# seed fully determines the assembled configuration.
+# One candidate list per drawable field (all of a single choice field's
+# CHOICES), in a fixed draw order so that a seed fully determines the
+# assembled configuration.
 DEFAULT_SPACE = {
     "map_limit": [None, 1, 2, 5, 10],
     "node_limit": [None, 1, 5, 10, 25, 50, 75, 100, 250, 500, 1000],
     "day_window": [None, 7, 30, 90, 180, 365],
-    "event_kind": ["created", "edited", "moved", "any"],
-    "visibility": ["visible_only", "invisible_only", "all"],
+    "event_kind": CHOICES["event_kind"],
+    "visibility": CHOICES["visibility"],
     "extension": [frozenset(), frozenset({"children"}), frozenset({"siblings"}),
                   frozenset({"parents"}), frozenset({"children", "siblings"}),
                   frozenset({"children", "siblings", "parents"})],
     "use_node_weighting": [False, True],
     "metrics": [("depth",), ("children",), ("siblings",), ("term_count",),
                 ("depth", "siblings"), ("depth", "children", "siblings", "term_count")],
-    "transform": ["abs", "ln", "log10", "sqrt"],
-    "direction": ["stronger", "weaker"],
-    "combiner": ["sum", "max", "product", "avg"],
-    "feature_type": ["terms", "citations", "both"],
-    "scheme": ["tf_only", "tf_idf", "tf_iduf", "cc_only", "cc_idf"],
+    "transform": CHOICES["transform"],
+    "direction": CHOICES["direction"],
+    "combiner": CHOICES["combiner"],
+    "feature_type": CHOICES["feature_type"],
+    "scheme": CHOICES["scheme"],
     "remove_stopwords": [False, True],
     "model_size": [1, 5, 10, 25, 35, 50, 100, 250, 500, 1000],
     "store_weights": [False, True],

@@ -498,6 +498,20 @@ class TestRecommendCommand:
         assert not out.exists()
 
 
+    def test_label_not_utf8_rejected(self, tmp_path, capsys):
+        # such a label was once written to --sets-out, which export and
+        # metrics --sets then refused as not UTF-8
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        out, sets = tmp_path / "rec.csv", tmp_path / "sets.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            run(["recommend", "--corpus", corpus_path, "--mindmaps", maps_dir,
+                 "--user", "user01", "--seed", 1, "--now", now,
+                 "--label", os.fsdecode(b"\xff"), "--out", out, "--sets-out", sets])
+        assert exc.value.code == 2
+        assert "argument --label: invalid utf8 value: '\\udcff'" in capsys.readouterr().err
+        assert not out.exists() and not sets.exists()
+
+
 class TestAlgorithmLabel:
     def test_config_without_preset_is_custom(self, tmp_path):
         corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
@@ -730,6 +744,14 @@ class TestOfflineEvalCommand:
         status, out = self._offline_eval(tmp_path, monkeypatch, workers, n_users=n_users)
         assert status == 0
         assert len(out.read_text().splitlines()) == 1 + n_users
+
+
+    @pytest.mark.parametrize("cpu_count, cpus", [(3, 3), (None, 1)])
+    def test_usable_cpus_without_affinity(self, monkeypatch, cpu_count, cpus):
+        # outside Linux: the CPU count, or 1 when it is unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert cli.usable_cpus() == cpus
 
 
 class TestOnlineReadsAtOnce:
@@ -1043,6 +1065,22 @@ class TestMalformedInput:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["metrics", "export"])
+    def test_set_item_with_unknown_key_named(self, tmp_path, capsys, command):
+        # Such an item once stopped both with a TypeError of RecommendationItem.
+        events = tmp_path / "e.csv"
+        events.write_text("set_id,doc_id,user_id,kind,at\ns1,d1,user00,shown,1\n")
+        item = {"doc_id": "d1", "original_rank": 1, "colour": "red", "display_rank": 1}
+        sets = tmp_path / "sets.jsonl"
+        sets.write_text(f"{GOOD_SET}\n{_set_with(items=[item])}\n")
+        out = tmp_path / "out"
+        argv = {"metrics": ["--events", events, "--sets", sets, "--group-by", "algorithm"],
+                "export": ["--sets", sets, "--events", events]}[command]
+        assert run([command, *argv, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {sets}: line 2: unknown key 'colour'\n"
+        assert not out.exists()
+
+
 class TestInputEncodings:
     """A UTF-8 byte-order mark, as spreadsheet programs write one, is
     skipped in every CSV, JSON-lines and text input; a map is decoded as
@@ -1270,6 +1308,27 @@ class TestIngestCommands:
         sidecar.write_text("map_id,node_id,kind,at\nclash,a,created,x\n")
         assert run(["ingest-mindmaps", "--mindmaps", maps_dir]) == 1
         assert capsys.readouterr().err.startswith(f"error: {sidecar}: ")
+
+    @pytest.mark.parametrize("beside", [False, True], ids=["alone", "beside_first_revision"])
+    def test_empty_revision_suffix_named(self, tmp_path, capsys, beside):
+        # `m__rev.mm` was once read as revision 1: alone without an error,
+        # and next to `m.mm` as a clash of two first revisions
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        bad = maps_dir / "user01" / "m__rev.mm"
+        bad.write_bytes(b'<map><node ID="a"/></map>')
+        if beside:
+            (maps_dir / "user01" / "m.mm").write_bytes(b'<map><node ID="a"/></map>')
+        err = f"error: {bad}: '' is not an integer\n"
+        assert run(["ingest-mindmaps", "--mindmaps", maps_dir]) == 1
+        assert capsys.readouterr().err == err
+        # recommend reads user01 for its links only, and stops the same way
+        assert self._recommend(corpus_path, maps_dir, now) == 1
+        assert capsys.readouterr().err == err
+        out = tmp_path / "offline.csv"
+        assert run(["offline-eval", "--corpus", corpus_path, "--mindmaps", maps_dir,
+                    "--seed", 1, "--now", now, "--out", out]) == 1
+        assert capsys.readouterr().err == err
+        assert not out.exists()
 
     def test_deep_map_read(self, tmp_path, capsys):
         corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
