@@ -246,8 +246,8 @@ class TestOfflineMatchesReference:
             corpus.freeze({"u": collection.links()})
             calls.clear()
             result = offline_evaluate_user(collection, corpus, simple_config())
-            expected = reference_offline(collection)
-            now, pruned_maps, events, target_title, relevant_titles = expected
+            now, pruned_maps, events, target_title, relevant_titles = \
+                reference_offline(collection)
             [((pruned, _, _), kwargs)] = calls
             assert kwargs == {"now": now}, trial
             assert pruned.user_id == "u"
