@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -15,10 +16,11 @@ from mindrec.usermodel import (
     extract_features,
     node_weight,
     select_nodes,
+    weigh_nodes,
     weight_features,
 )
 
-from conftest import node, scripted_collection, single_map_collection
+from conftest import WORDS, node, scripted_collection, single_map_collection
 
 
 def selection_oracle(collection, cfg, now):
@@ -212,6 +214,84 @@ class TestCombine:
         # no combiner ever sees an empty list: weighting needs a metric
         with pytest.raises(InvalidConfig, match="metric"):
             AlgorithmConfig(node_limit=1, node_weighting=True, metrics=()).validate()
+
+
+def random_weighing_map(rng, map_id):
+    """A random map of 1 to 40 nodes, wide (parents drawn among the first
+    nodes), deep (among the last) or mixed, some nodes folded, and its
+    parent links: {node_id: parent id, None for the root}."""
+    words = WORDS + ["the", "of", "and", "a", "x", "C++", "2017"]  # stop words, short tokens
+    shape = rng.choice(["wide", "deep", "mixed"])
+    nodes, parents = [], {}
+    for i in range(rng.randint(1, 40)):
+        text = " ".join(rng.choice(words) for _ in range(rng.randint(0, 5)))
+        each = node(f"n{i}", text, folded=rng.random() < 0.2)
+        pool = nodes[:3] if shape == "wide" else nodes[-2:] if shape == "deep" else nodes
+        parents[each.id] = None
+        if pool:
+            parent = rng.choice(pool)
+            parent.children.append(each)
+            parents[each.id] = parent.id
+        nodes.append(each)
+    return MindMap(map_id, nodes[0]), parents
+
+
+def reference_weight(mindmap, parents, node_id, cfg):
+    """One node's weight, written from the README's node metrics and weight
+    rule: depth is parent steps from the root, children the node's child
+    count, siblings its parent's child count minus one (0 for the root),
+    term_count the tokenizer's terms with stop words kept; f is the
+    transform, and a value of 0 or f(value) <= 0 weighs 1."""
+    from mindrec.text import tokenize
+
+    depth, ancestor = 0, parents[node_id]
+    while ancestor is not None:
+        depth, ancestor = depth + 1, parents[ancestor]
+    parent = parents[node_id]
+    measured = {
+        "depth": depth,
+        "children": len(mindmap.node(node_id).children),
+        "siblings": 0 if parent is None else len(mindmap.node(parent).children) - 1,
+        "term_count": len(tokenize(mindmap.node(node_id).text)),
+    }
+    f = {"abs": abs, "ln": math.log, "log10": math.log10, "sqrt": math.sqrt}[cfg.transform]
+    scores = []
+    for metric in cfg.metrics:
+        value = measured[metric]
+        if value == 0 or f(value) <= 0:
+            scores.append(1.0)
+        elif cfg.direction == "stronger":
+            scores.append(max(1.0, f(value)))
+        else:
+            scores.append(min(1.0, 1 / f(value)))
+    total, product = 0.0, 1.0
+    for score in scores:
+        total += score
+        product *= score
+    return {"sum": total, "max": max(scores), "product": product,
+            "avg": total / len(scores)}[cfg.combiner]
+
+
+class TestWeighNodesMatchesReference:
+    def test_random_trees(self):
+        # every ordered choice of metrics, each transform, direction and combiner
+        rng = random.Random(25)
+        names = ("depth", "children", "siblings", "term_count")
+        orders = [p for k in range(1, 5) for p in itertools.permutations(names, k)]
+        for metrics, transform, direction, combiner in itertools.product(
+                orders, ("abs", "ln", "log10", "sqrt"), ("stronger", "weaker"),
+                ("sum", "max", "product", "avg")):
+            maps = [random_weighing_map(rng, f"m{i}") for i in range(rng.randint(1, 2))]
+            collection = MindMapCollection("u", revision_chains([m for m, _ in maps]),
+                                           events=[])
+            everything = [(m.map_id, n) for m, _ in maps for n in m.node_ids()]
+            selection = rng.sample(everything, rng.randint(1, len(everything)))
+            cfg = AlgorithmConfig(node_limit=1, node_weighting=True, metrics=metrics,
+                                  transform=transform, direction=direction, combiner=combiner)
+            links = {m.map_id: parents for m, parents in maps}
+            expected = [(m, n, reference_weight(collection.maps[m], links[m], n, cfg))
+                        for m, n in selection]
+            assert weigh_nodes(collection, selection, cfg) == expected, cfg
 
 
 class TestExtractFeatures:
