@@ -55,7 +55,7 @@ CHOICES = {
     "event_kind": EVENT_KINDS + ("any",),
     "visibility": ("visible_only", "invisible_only", "all"),
     "extension": ("children", "siblings", "parents"),
-    "metrics": NODE_METRICS,
+    "metrics": tuple(NODE_METRICS),
     "transform": tuple(TRANSFORMS),
     "direction": ("stronger", "weaker"),
     "combiner": tuple(COMBINERS),

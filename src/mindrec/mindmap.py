@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, replace
 
 from .errors import InconsistentRevisions, MalformedInput, NoRoot, UnknownNode
 from .rows import integers, read_csv
-from .text import tokenize
 
 EVENT_KINDS = ("created", "edited", "moved")
 
@@ -207,14 +206,6 @@ def is_visible(mindmap, node_id):
             return False
         ancestor = mindmap._parent[ancestor]
     return True
-
-
-def node_stats(mindmap, node_id):
-    """(children_count, sibling_count, term_count) for one node."""
-    node = mindmap.node(node_id)
-    parent = mindmap._parent[node_id]
-    siblings = 0 if parent is None else len(mindmap.node(parent).children) - 1
-    return len(node.children), siblings, len(tokenize(node.text))
 
 
 def revision_chains(revisions):

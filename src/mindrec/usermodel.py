@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 from .corpus import citation_feature
 from .errors import EmptyCollection, NoPositiveFeatures
-from .mindmap import is_visible, node_depth, node_stats
+from .mindmap import is_visible, node_depth
 from .text import tokenize
 
 DAY_MS = 24 * 60 * 60 * 1000
@@ -23,7 +23,18 @@ TRANSFORMS = {
     "sqrt": math.sqrt,
 }
 
-NODE_METRICS = ("depth", "children", "siblings", "term_count")
+
+def _sibling_count(mindmap, node_id):
+    parent = mindmap.parent_id(node_id)
+    return 0 if parent is None else len(mindmap.node(parent).children) - 1
+
+
+NODE_METRICS = {
+    "depth": node_depth,
+    "children": lambda mindmap, node_id: len(mindmap.node(node_id).children),
+    "siblings": _sibling_count,
+    "term_count": lambda mindmap, node_id: len(tokenize(mindmap.node(node_id).text)),
+}
 COMBINERS = {
     "sum": sum,
     "max": max,
@@ -124,13 +135,11 @@ def extend_selection(collection, selection, extension):
     return result
 
 
-def node_weight(stats, metric, transform, direction):
-    """Weight one node from a structural metric, clamped around 1.
+def node_weight(value, transform, direction):
+    """Weight one node from the value of a node metric, clamped around 1.
 
-    stats: (depth, children_count, sibling_count, term_count).
     stronger: max(1, f(v)); weaker: min(1, 1/f(v)); degenerate f(v) -> 1.
     """
-    value = dict(zip(NODE_METRICS, stats))[metric]
     transformed = TRANSFORMS[transform](value) if value > 0 else 0.0
     if transformed <= 0.0:
         return 1.0
@@ -147,8 +156,8 @@ def weigh_nodes(collection, selection, cfg):
     weighted = []
     for map_id, node_id in selection:
         latest = collection.maps[map_id]
-        stats = (node_depth(latest, node_id),) + node_stats(latest, node_id)
-        scores = [node_weight(stats, m, cfg.transform, cfg.direction) for m in cfg.metrics]
+        scores = [node_weight(NODE_METRICS[m](latest, node_id), cfg.transform, cfg.direction)
+                  for m in cfg.metrics]
         weighted.append((map_id, node_id, COMBINERS[cfg.combiner](scores)))
     return weighted
 

@@ -79,12 +79,11 @@ def test_metric_worked_examples():
 def test_depth_weight_clamp():
     for transform in ("abs", "ln", "log10", "sqrt"):
         for depth in range(21):
-            stats = (depth, 0, 0, 0)
-            stronger = node_weight(stats, "depth", transform, "stronger")
-            weaker = node_weight(stats, "depth", transform, "weaker")
+            stronger = node_weight(depth, transform, "stronger")
+            weaker = node_weight(depth, transform, "weaker")
             assert stronger >= 1.0
             assert 0.0 < weaker <= 1.0
-    assert node_weight((2, 0, 0, 0), "depth", "ln", "stronger") == 1.0
+    assert node_weight(2, "ln", "stronger") == 1.0
     print(f"{PASS} depth-weight clamp over depths 0..20, all transforms; "
           f"ln(2) case clamps to 1 exactly")
 

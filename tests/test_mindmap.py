@@ -24,12 +24,12 @@ from mindrec.mindmap import (
     derive_events,
     is_visible,
     node_depth,
-    node_stats,
     parse_mindmap,
     read_event_log,
     read_map_links,
     revision_chains,
 )
+from mindrec.usermodel import NODE_METRICS
 
 from conftest import figure_tree, node, serialize_mindmap, synthetic_id
 
@@ -229,7 +229,8 @@ class TestDepthVisibilityStats:
 
     def test_stats_leaf_root(self):
         m = MindMap("s", node("r", "hello world"))
-        assert node_stats(m, "r") == (0, 0, 2)
+        assert [NODE_METRICS[k](m, "r") for k in ("children", "siblings", "term_count")] == \
+            [0, 0, 2]
 
     def test_two_children_each(self):
         b = node("B", "b", children=[
@@ -237,12 +238,12 @@ class TestDepthVisibilityStats:
             node("b2", children=[node("b2a"), node("b2b")]),
         ])
         m = MindMap("s", node("r", children=[b]))
-        assert node_stats(m, "B")[0] == 2
+        assert NODE_METRICS["children"](m, "B") == 2
 
     def test_sibling_count(self):
         m = MindMap("s", node("r", children=[node(f"c{i}") for i in range(4)]))
-        assert node_stats(m, "c0")[1] == 3
-        assert node_stats(m, "r")[1] == 0
+        assert NODE_METRICS["siblings"](m, "c0") == 3
+        assert NODE_METRICS["siblings"](m, "r") == 0
 
 
 class TestDeriveEvents:

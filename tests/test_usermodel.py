@@ -11,6 +11,7 @@ from mindrec.mindmap import MindMap, MindMapCollection, NodeEvent, is_visible, r
 from mindrec.usermodel import (
     COMBINERS,
     DAY_MS,
+    NODE_METRICS,
     build_user_model,
     extend_selection,
     extract_features,
@@ -169,32 +170,35 @@ class TestExtendSelection:
 
 class TestNodeWeight:
     def test_ln_two_clamps_to_one(self):
-        assert node_weight((2, 0, 0, 0), "depth", "ln", "stronger") == 1.0
+        assert node_weight(2, "ln", "stronger") == 1.0
 
     def test_sqrt_four(self):
-        assert node_weight((4, 0, 0, 0), "depth", "sqrt", "stronger") == 2.0
+        assert node_weight(4, "sqrt", "stronger") == 2.0
 
     def test_abs_weaker_reciprocal(self):
-        assert node_weight((3, 0, 0, 0), "depth", "abs", "weaker") == pytest.approx(1 / 3)
+        assert node_weight(3, "abs", "weaker") == pytest.approx(1 / 3)
 
     @pytest.mark.parametrize("transform", ["abs", "ln", "log10", "sqrt"])
     @pytest.mark.parametrize("value", range(0, 21))
     def test_clamp_laws(self, transform, value):
-        stronger = node_weight((value, 0, 0, 0), "depth", transform, "stronger")
-        weaker = node_weight((value, 0, 0, 0), "depth", transform, "weaker")
+        stronger = node_weight(value, transform, "stronger")
+        weaker = node_weight(value, transform, "weaker")
         assert stronger >= 1.0
         assert 0.0 < weaker <= 1.0
 
     def test_degenerate_values_weight_one(self):
         for transform in ("ln", "log10"):
-            assert node_weight((0, 0, 0, 0), "depth", transform, "weaker") == 1.0
-            assert node_weight((1, 0, 0, 0), "depth", transform, "stronger") == 1.0
-        assert node_weight((0, 0, 0, 0), "depth", "abs", "weaker") == 1.0
+            assert node_weight(0, transform, "weaker") == 1.0
+            assert node_weight(1, transform, "stronger") == 1.0
+        assert node_weight(0, "abs", "weaker") == 1.0
 
     def test_other_metrics(self):
-        assert node_weight((0, 9, 0, 0), "children", "sqrt", "stronger") == 3.0
-        assert node_weight((0, 0, 4, 0), "siblings", "abs", "stronger") == 4.0
-        assert node_weight((0, 0, 0, 100), "term_count", "log10", "stronger") == 2.0
+        m = MindMap("s", node("r", " ".join(["term"] * 100), children=[
+            node("nine", children=[node(f"c{i}") for i in range(9)]),
+            *(node(f"s{i}") for i in range(4))]))
+        assert node_weight(NODE_METRICS["children"](m, "nine"), "sqrt", "stronger") == 3.0
+        assert node_weight(NODE_METRICS["siblings"](m, "s0"), "abs", "stronger") == 4.0
+        assert node_weight(NODE_METRICS["term_count"](m, "r"), "log10", "stronger") == 2.0
 
 
 class TestCombine:
@@ -292,6 +296,27 @@ class TestWeighNodesMatchesReference:
             expected = [(m, n, reference_weight(collection.maps[m], links[m], n, cfg))
                         for m, n in selection]
             assert weigh_nodes(collection, selection, cfg) == expected, cfg
+
+    @pytest.mark.parametrize("metrics, per_node", [
+        (("depth", "siblings"), 0), (("children", "term_count"), 1),
+    ])
+    def test_tokenizes_only_for_term_count(self, monkeypatch, metrics, per_node):
+        # the combined algorithm's depth+siblings once tokenized every weighted node
+        from mindrec import mindmap, text, usermodel
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return text.tokenize(*args, **kwargs)
+        for module in (usermodel, mindmap):
+            if hasattr(module, "tokenize"):
+                monkeypatch.setattr(module, "tokenize", counting)
+        collection, _ = scripted_collection(n_nodes=40)
+        selection = [(m, n) for m, latest in collection.maps.items() for n in latest.node_ids()]
+        cfg = AlgorithmConfig(node_limit=75, node_weighting=True, metrics=metrics, transform="ln")
+        weigh_nodes(collection, selection, cfg)
+        assert len(calls) == per_node * len(selection)
 
 
 class TestExtractFeatures:
@@ -406,7 +431,6 @@ class TestBuildUserModel:
 
 def combined_oracle(collection, now):
     """Full pipeline reimplemented naively for the combined algorithm."""
-    from mindrec.mindmap import node_depth, node_stats
     from mindrec.text import tokenize
 
     cfg = AlgorithmConfig(node_limit=75, day_window=90, event_kind="moved",
@@ -435,8 +459,11 @@ def combined_oracle(collection, now):
     tf = {}
     for m, n in extended:
         mm = collection.maps[m]
-        depth = node_depth(mm, n)
-        siblings = node_stats(mm, n)[1]
+        depth, ancestor = 0, mm.parent_id(n)
+        while ancestor is not None:
+            depth, ancestor = depth + 1, mm.parent_id(ancestor)
+        parent = mm.parent_id(n)
+        siblings = 0 if parent is None else len(mm.node(parent).children) - 1
         w = 0.0
         for v in (depth, siblings):
             t = math.log(v) if v > 0 else 0.0
