@@ -2,9 +2,9 @@
 offline evaluation sweeps, event-log metrics, and dataset export.
 
 Every randomized subcommand takes --seed, and --now pins the clock, so
-runs are reproducible byte for byte.  `offline-eval` accepts --now but
-never reads it: each user is evaluated at the time of their removed
-citation.
+runs are reproducible byte for byte.  `offline-eval` needs --seed only
+with --space, and accepts --now but never reads it: each user is
+evaluated at the time of their removed citation.
 """
 
 import argparse
@@ -192,7 +192,8 @@ def _hashable(name, value):
 def _read_sets(path):
     """The RecommendationSets of a `--sets-out` file, each distinct str or int held
     once; a set_id, user_id or doc_id that is not hashable raises TypeError,
-    and a key of a record or an item that is not a field raises ValueError."""
+    and a key of a record or an item that is not a field, or items that are
+    not a list, raise ValueError."""
     intern, item_values = {}.setdefault, itemgetter(*ITEM_FIELDS)
 
     def value(v):  # JSON 1, 1.0 and true are equal keys: intern none as another
@@ -205,6 +206,8 @@ def _read_sets(path):
     def build(record):
         fields = {name: value(record[name]) for name in SET_FIELDS}
         check_keys(record, SET_FIELDS)
+        if not isinstance(record["items"], list):
+            raise ValueError("items is not a list")
         fields["items"] = items = [RecommendationItem(*item_values(raw))
                                    for raw in record["items"]]
         for item, raw in zip(items, record["items"]):
@@ -314,6 +317,8 @@ def cmd_recommend(args):
 
 
 def cmd_offline_eval(args):
+    if args.space and args.seed is None:
+        args.usage_error("argument --space: needs --seed")
     corpus = load_corpus_jsonl(args.corpus)
     collections = load_user_collections(args.mindmaps)
     corpus.freeze({user_id: c.links() for user_id, c in collections.items()})
@@ -536,7 +541,6 @@ def build_parser():
         p.add_argument("--corpus", required=True)
         if maps:
             p.add_argument("--mindmaps", required=True)
-            p.add_argument("--seed", type=int, required=True)
             p.add_argument("--now", type=int, default=0)
         p.add_argument("--out")
 
@@ -558,6 +562,7 @@ def build_parser():
     p = sub.add_parser("recommend")
     common(p, maps=True)
     config_choice(p)
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--user", required=True)
     p.add_argument("--stereotype")
     p.add_argument("--p-stereotype", type=probability, default=matching.DEFAULT_P_STEREOTYPE)
@@ -568,7 +573,8 @@ def build_parser():
     p = sub.add_parser("offline-eval")
     common(p, maps=True)
     config_choice(p).add_argument("--space")
-    p.set_defaults(func=cmd_offline_eval)
+    p.add_argument("--seed", type=int)  # read only with --space
+    p.set_defaults(func=cmd_offline_eval, usage_error=p.error)
 
     p = sub.add_parser("metrics")
     p.add_argument("--events", required=True)

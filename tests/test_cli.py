@@ -561,6 +561,26 @@ class TestOfflineEvalCommand:
                  for row in csv.DictReader(out.read_text().splitlines())]
         assert users == ["user00", "user01"]
 
+    def test_seed_needed_only_with_space(self, tmp_path):
+        # --seed was required, though only --space reads it
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=3)
+        argv = ["offline-eval", "--corpus", corpus_path, "--mindmaps", maps_dir,
+                "--now", now, "--preset", "all_maps_all_terms"]
+        assert run([*argv, "--out", tmp_path / "unseeded.csv"]) == 0
+        assert run([*argv, "--seed", 7, "--out", tmp_path / "seeded.csv"]) == 0
+        assert (tmp_path / "unseeded.csv").read_bytes() == (tmp_path / "seeded.csv").read_bytes()
+
+    @pytest.mark.parametrize("command, flag", [("offline-eval", "--space"),
+                                               ("recommend", "--user")])
+    def test_missing_seed_is_usage_error(self, tmp_path, capsys, command, flag):
+        # stopped before any input is read: none of the files exists
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--corpus", tmp_path / "c.jsonl", "--mindmaps", tmp_path / "maps",
+                 flag, tmp_path / "space.txt", "--out", tmp_path / "o.csv"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("text", [
         "node_limt = 5\n",
         "node_limit = 5\nnode_weighting = true\ntransform = bogus\n",
@@ -905,6 +925,10 @@ class TestMalformedInput:
         ("export", "--sets", _set_without("items"), "line 2"),
         ("metrics", "--sets", b"[1, 2]\n", "line 1"),
         ("export", "--sets", _set_item_with_unknown_key(), "line 2"),
+        ("export", "--sets", f"{GOOD_SET}\n{_set_with(items={})}\n".encode(),
+         "line 2: items is not a list"),
+        ("metrics", "--sets", f"{GOOD_SET}\n{_set_with(items='')}\n".encode(),
+         "line 2: items is not a list"),
         ("export", "--sets", b"\n[1, 2]\n", "line 2"),
         ("metrics", "--sets", b"[" * 100_000 + b"]" * 100_000 + b"\n", "line 1"),
         ("export", "--sets", b"[" * 100_000 + b"]" * 100_000 + b"\n", "line 1"),
@@ -928,7 +952,8 @@ class TestMalformedInput:
         ("ingest-mindmaps", "m.mm", _map_declaring(b"Shift_JIS"), "multi-byte encodings"),
         ("recommend", "m.mm", _map_declaring(b"Shift_JIS"), "multi-byte encodings"),
     ], ids=["metrics_sets_not_json", "export_sets_not_json", "sets_no_set_id",
-            "sets_no_items", "metrics_sets_not_a_record", "set_item_unknown_key", "export_sets_not_a_record",
+            "sets_no_items", "metrics_sets_not_a_record", "set_item_unknown_key",
+            "export_sets_items_an_object", "metrics_sets_items_a_string", "export_sets_not_a_record",
             "metrics_sets_nested_too_deep", "export_sets_nested_too_deep",
             "sets_not_utf8", "events_not_utf8", "ratings_not_utf8", "sidecar_not_utf8",
             "corpus_not_utf8", "config_not_utf8", "space_not_utf8",

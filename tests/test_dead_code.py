@@ -74,3 +74,21 @@ def test_every_class_and_constant_is_referenced():
     assert "cli.SET_FIELDS" in defined and "errors.MindrecError" in defined
     names = referenced_names()
     assert sorted(d for d in defined if d.partition(".")[2] not in names) == []
+
+
+def test_every_import_is_used():
+    """Each name a package module imports at its top level is read in that
+    module or listed in its `__all__`."""
+    unused = []
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).partition(".")[0]
+                    for statement in tree.body if isinstance(statement, (ast.Import, ast.ImportFrom))
+                    for alias in statement.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        exported = {element.value for statement in tree.body if isinstance(statement, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in statement.targets)
+                    for element in statement.value.elts}
+        unused += [f"{path.stem}.{name}" for name in imported - read - exported]
+    assert sorted(unused) == []
