@@ -139,8 +139,8 @@ DEFAULT_SPACE = {
                   frozenset({"parents"}), frozenset({"children", "siblings"}),
                   frozenset({"children", "siblings", "parents"})],
     "use_node_weighting": [False, True],
-    "metrics": [("depth",), ("children",), ("siblings",), ("term_count",),
-                ("depth", "siblings"), ("depth", "children", "siblings", "term_count")],
+    "metrics": [*((name,) for name in CHOICES["metrics"]), ("depth", "siblings"),
+                CHOICES["metrics"]],
     "transform": CHOICES["transform"],
     "direction": CHOICES["direction"],
     "combiner": CHOICES["combiner"],

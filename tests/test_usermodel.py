@@ -297,26 +297,27 @@ class TestWeighNodesMatchesReference:
                         for m, n in selection]
             assert weigh_nodes(collection, selection, cfg) == expected, cfg
 
-    @pytest.mark.parametrize("metrics, per_node", [
-        (("depth", "siblings"), 0), (("children", "term_count"), 1),
-    ])
-    def test_tokenizes_only_for_term_count(self, monkeypatch, metrics, per_node):
-        # the combined algorithm's depth+siblings once tokenized every weighted node
-        from mindrec import mindmap, text, usermodel
 
-        calls = []
+@pytest.mark.parametrize("metrics, per_node", [
+    (("depth", "siblings"), 0), (("children", "term_count"), 1),
+], ids=["depth_siblings", "children_term_count"])
+def test_weighing_tokenizes_only_for_term_count(monkeypatch, metrics, per_node):
+    # the combined algorithm's depth+siblings once tokenized every weighted node
+    from mindrec import mindmap, text, usermodel
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return text.tokenize(*args, **kwargs)
-        for module in (usermodel, mindmap):
-            if hasattr(module, "tokenize"):
-                monkeypatch.setattr(module, "tokenize", counting)
-        collection, _ = scripted_collection(n_nodes=40)
-        selection = [(m, n) for m, latest in collection.maps.items() for n in latest.node_ids()]
-        cfg = AlgorithmConfig(node_limit=75, node_weighting=True, metrics=metrics, transform="ln")
-        weigh_nodes(collection, selection, cfg)
-        assert len(calls) == per_node * len(selection)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return text.tokenize(*args, **kwargs)
+    for module in (usermodel, mindmap):
+        if hasattr(module, "tokenize"):
+            monkeypatch.setattr(module, "tokenize", counting)
+    collection, _ = scripted_collection(n_nodes=40)
+    selection = [(m, n) for m, latest in collection.maps.items() for n in latest.node_ids()]
+    cfg = AlgorithmConfig(node_limit=75, node_weighting=True, metrics=metrics, transform="ln")
+    weigh_nodes(collection, selection, cfg)
+    assert len(calls) == per_node * len(selection)
 
 
 class TestExtractFeatures:
