@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -124,6 +125,44 @@ class TestSelectNodes:
         cfg = AlgorithmConfig(node_limit=10)
         got = select_nodes(collection, cfg, now=1000)
         assert got == selection_oracle(collection, cfg, 1000) == [("m1", "a"), ("m1", "r")]
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestAnyEventFallback:
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_random_configs(self, monkeypatch, seed):
+        # build_model's selection, as extend_selection receives it, against
+        # the oracle: event kind any when the config's own selection is short
+        from mindrec import experiment
+
+        def recording(collection, selection, extension):
+            seen.append(selection)
+            raise _Stop
+
+        monkeypatch.setattr(experiment, "extend_selection", recording)
+        rng = random.Random(seed)
+        branches = set()
+        for n_nodes in (8, 40, 120, 320):
+            collection, now = scripted_collection(n_nodes=n_nodes, seed=seed)
+            for node_limit, event_kind in itertools.product(
+                    (1, 5, 25, 75), ("created", "edited", "moved")):
+                cfg = AlgorithmConfig(
+                    node_limit=node_limit, event_kind=event_kind, fallback_any=True,
+                    day_window=rng.choice([None, 7, 30, 60, 90, 180]),
+                    visibility=rng.choice(["all", "visible_only", "invisible_only"]))
+                own = selection_oracle(collection, cfg, now)
+                short = len(own) < node_limit
+                expected = selection_oracle(collection, replace(cfg, event_kind="any"),
+                                            now) if short else own
+                seen = []
+                with pytest.raises(_Stop):
+                    build_model(collection, None, cfg, now)
+                assert seen == [expected], cfg
+                branches.add(short)
+        assert branches == {False, True}
 
 
 class TestExtendSelection:
