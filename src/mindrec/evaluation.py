@@ -5,9 +5,7 @@ import math
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .errors import NoModel
-from .experiment import build_model
-from .matching import retrieve_candidates
+from .matching import content_pool
 from .mindmap import MindMapCollection, copy_mindmap
 
 REC_EVENT_KINDS = ("shown", "clicked", "linked", "annotated", "cited")
@@ -94,12 +92,7 @@ def offline_evaluate_user(collection, corpus, config):
     pruned = MindMapCollection(collection.user_id, {m.map_id: [m] for m in pruned_maps},
                                events=events)
 
-    try:
-        pool = retrieve_candidates(corpus, build_model(pruned, corpus, config, now=target_at))
-    except NoModel:
-        pool = []  # no model: a miss
-
-    candidate_ids = [doc_id for doc_id, _ in pool]
+    candidate_ids = [doc_id for doc_id, _ in content_pool(pruned, corpus, config, target_at)]
     rank = candidate_ids.index(target_doc) + 1 if target_doc in candidate_ids else None
     return OfflineResult(
         user_id=collection.user_id,

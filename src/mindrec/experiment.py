@@ -2,7 +2,7 @@
 variable space, flat-text serialization, and model building from a
 configuration."""
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import InvalidConfig
 from .mindmap import EVENT_KINDS
@@ -190,11 +190,14 @@ def preset(name):
 
 def build_model(collection, corpus, config, now):
     """Run every pipeline stage the configuration describes, ending in
-    the model built at `now`."""
+    the model built at `now`.  With fallback_any, a selection of fewer
+    than node_limit nodes is made again with event_kind "any"."""
     if config.preset_name == "stereotype":
         raise InvalidConfig("the stereotype preset builds no user model; "
                             "only recommend serves it")
     selection = select_nodes(collection, config, now)
+    if config.fallback_any and len(selection) < config.node_limit:
+        selection = select_nodes(collection, replace(config, event_kind="any"), now)
     selection = extend_selection(collection, selection, config.extension)
     weighted_nodes = weigh_nodes(collection, selection, config)
     occurrences = extract_features(

@@ -43,6 +43,15 @@ def retrieve_candidates(corpus, model, pool_size=DEFAULT_POOL_SIZE):
     return corpus.rank(query, top=pool_size)
 
 
+def content_pool(collection, corpus, config, now):
+    """The content route's candidate pool at `now`; [] when no model can
+    be built (NoModel), as for a model that retrieves nothing."""
+    try:
+        return retrieve_candidates(corpus, build_model(collection, corpus, config, now=now))
+    except NoModel:
+        return []
+
+
 def select_and_shuffle(pool, rng, k=DEFAULT_SET_SIZE):
     """Sample min(k, |pool|) pool entries without replacement, then shuffle.
 
@@ -73,19 +82,13 @@ def dispatch(collection, corpus, config, stereotype_catalog, rng,
 
     With probability p_stereotype the curated catalog is served instead of
     the content-based route.  The catalog is also served, labelled
-    `stereotype`, when the content-based route raises NoModel or retrieves
-    an empty pool.  The generator is consumed in the fixed order: arm
-    choice, sampling, shuffle.
+    `stereotype`, when `content_pool` is empty.  The generator is consumed
+    in the fixed order: arm choice, sampling, shuffle.
     """
     use_stereotype = (
         config.preset_name == "stereotype" or rng.random() < p_stereotype
     )
-    pool = []
-    if not use_stereotype:
-        try:
-            pool = retrieve_candidates(corpus, build_model(collection, corpus, config, now))
-        except NoModel:
-            pass  # served the catalog below
+    pool = [] if use_stereotype else content_pool(collection, corpus, config, now)
     algorithm = config.algorithm
     if not pool:
         pool = [(doc_id, 0.0) for doc_id in stereotype_catalog]

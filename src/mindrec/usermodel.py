@@ -1,13 +1,13 @@
 """User-model construction pipeline stages.
 
 select nodes -> extend -> weight nodes -> extract features -> weight
-features -> truncate; ``experiment.build_model`` runs them in that order.
-The combined algorithm is one configuration of it (the
-``docear_combined`` preset).
+features -> truncate; ``experiment.build_model`` runs them in that order,
+and decides the combined algorithm's any-event fallback.  The combined
+algorithm is one configuration of it (the ``docear_combined`` preset).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .corpus import citation_feature
 from .errors import EmptyCollection, NoPositiveFeatures
@@ -57,8 +57,7 @@ def select_nodes(collection, cfg, now):
 
     Nodes are ordered by their latest matching event, newest first, with
     (map_id, node_id) as the tie break, then truncated to node_limit.
-    With fallback_any, fewer than node_limit nodes means selecting again
-    with event_kind "any".
+    Selects once; ``experiment.build_model`` owns the any-event fallback.
     """
     if not collection.maps:
         raise EmptyCollection(f"user {collection.user_id!r} has no mind maps")
@@ -95,9 +94,6 @@ def select_nodes(collection, cfg, now):
     result = [(m, n) for _, m, n in selected]
     if cfg.node_limit is not None:
         result = result[: cfg.node_limit]
-    if cfg.fallback_any and len(result) < cfg.node_limit:
-        return select_nodes(collection, replace(cfg, event_kind="any", fallback_any=False),
-                            now)
     return result
 
 

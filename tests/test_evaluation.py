@@ -3,7 +3,7 @@ from operator import attrgetter
 
 import pytest
 
-from mindrec import evaluation
+from mindrec import matching
 from mindrec.corpus import Corpus
 from mindrec.evaluation import (
     RecEvent,
@@ -238,8 +238,8 @@ class TestOfflineMatchesReference:
             pools.append(doc_ids[:rng.randint(1, len(doc_ids))])
             return [(doc_id, 1.0) for doc_id in pools[-1]]
 
-        monkeypatch.setattr(evaluation, "build_model", recording)
-        monkeypatch.setattr(evaluation, "retrieve_candidates", random_pool)
+        monkeypatch.setattr(matching, "build_model", recording)
+        monkeypatch.setattr(matching, "retrieve_candidates", random_pool)
         for trial in range(300):
             collection = random_user(rng)
             corpus = Corpus()

@@ -185,7 +185,6 @@ class TestNoModel:
                 raise
 
         monkeypatch.setattr(matching, "build_model", recording)
-        monkeypatch.setattr(evaluation, "build_model", recording)
         rec = dispatch(served, corpus, config, sorted(corpus.documents),
                        random.Random(1), p_stereotype=0.0, now=now)
         assert rec.algorithm == "stereotype" and rec.items

@@ -164,6 +164,13 @@ class TestAnyEventFallback:
                 branches.add(short)
         assert branches == {False, True}
 
+    def test_select_nodes_never_falls_back(self):
+        collection, now = scripted_collection()
+        cfg = AlgorithmConfig(node_limit=75, event_kind="moved", fallback_any=True)
+        got = select_nodes(collection, cfg, now)
+        assert got == selection_oracle(collection, cfg, now)
+        assert len(got) < 75  # short, so build_model would select again
+
 
 class TestExtendSelection:
     def test_empty_extension_identity(self):
