@@ -179,8 +179,8 @@ def load_corpus_jsonl(path):
     """Build a corpus from JSON-lines: {"title", "terms"?, "citations"?}.
 
     A line that is not a JSON record with a non-empty title and, where
-    given, lists of strings as terms and citations raises MalformedRow
-    naming the file and the line.
+    given, lists of strings as terms and of non-empty strings as
+    citations raises MalformedRow naming the file and the line.
     """
     corpus = Corpus()
 
@@ -191,6 +191,8 @@ def load_corpus_jsonl(path):
         terms, citations = record.get("terms", []), record.get("citations", [])
         if not _strings(terms) or not _strings(citations):
             raise ValueError("terms and citations must be lists of strings")
+        if "" in citations:
+            raise ValueError("a cited title is empty")
         corpus.ingest_document(title, body_terms=terms, citations=citations)
 
     read_jsonl(path, ingest)

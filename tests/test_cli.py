@@ -939,6 +939,8 @@ class TestMalformedInput:
         ("ingest-mindmaps", "events.csv", b"map_id,node_id,kind,at\nm,\xff,created,1\n",
          "not UTF-8"),
         ("ingest-corpus", "--corpus", b'{"title": "Caf\xe9"}\n', "not UTF-8"),
+        ("ingest-corpus", "--corpus", b'{"title": "Alpha paper", "citations": [""]}\n',
+         "line 1: a cited title is empty"),
         ("offline-eval", "--config", b"node_limit = 5\n# \xff\n", "not UTF-8"),
         ("offline-eval", "--space", b"node_limit = 5, \xff\n", "not UTF-8"),
         ("recommend", "--stereotype", b"Some title \xff\n", "not UTF-8"),
@@ -956,7 +958,7 @@ class TestMalformedInput:
             "export_sets_items_an_object", "metrics_sets_items_a_string", "export_sets_not_a_record",
             "metrics_sets_nested_too_deep", "export_sets_nested_too_deep",
             "sets_not_utf8", "events_not_utf8", "ratings_not_utf8", "sidecar_not_utf8",
-            "corpus_not_utf8", "config_not_utf8", "space_not_utf8",
+            "corpus_not_utf8", "corpus_cites_empty_title", "config_not_utf8", "space_not_utf8",
             "stereotype_not_utf8", "map_not_utf8", "map_of_another_user_not_utf8",
             "map_unknown_encoding", "map_of_another_user_unknown_encoding",
             "map_multibyte_encoding", "map_of_another_user_multibyte_encoding"])

@@ -116,9 +116,11 @@ class TestResolveIngest:
         '{"title": "Third Doc", "citations": false}',
         '{"title": "Third Doc", "citations": {}}',
         '{"title": "Third Doc", "terms": null}',
+        '{"title": "Third Doc", "citations": ["First Doc", ""]}',
     ], ids=["not_json", "no_title", "empty_title", "not_a_record",
             "citations_not_a_list", "term_not_a_string", "terms_empty_string",
-            "terms_zero", "citations_false", "citations_empty_object", "terms_null"])
+            "terms_zero", "citations_false", "citations_empty_object", "terms_null",
+            "citation_empty_title"])
     def test_malformed_jsonl_line_named(self, tmp_path, line):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"title": "First Doc"}\n\n' + line + "\n", encoding="utf-8")
