@@ -6,6 +6,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import InvalidConfig
 from .mindmap import EVENT_KINDS
+from .rows import integer
 from .usermodel import (
     COMBINERS,
     NODE_METRICS,
@@ -228,10 +229,10 @@ def _names(kind):
 # The parser of a config-file value's text, by its field's annotation.
 _PARSE_BY_TYPE = {
     str: str,
-    int: int,
+    int: integer,
     bool: _flag,
     str | None: _optional(str),
-    int | None: _optional(int),
+    int | None: _optional(integer),
     frozenset: _names(frozenset),
     tuple: _names(tuple),
 }

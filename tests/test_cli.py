@@ -605,8 +605,7 @@ class TestOfflineEvalCommand:
         assert run(["offline-eval", "--corpus", corpus_path, "--mindmaps", maps_dir,
                     "--seed", 3, "--now", now, "--config", config,
                     "--out", tmp_path / "o.csv"]) == 1
-        assert capsys.readouterr().err == (f"error: {config}: node_limit: invalid literal "
-                                           "for int() with base 10: 'ten'\n")
+        assert capsys.readouterr().err == f"error: {config}: node_limit: 'ten' is not an integer\n"
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("source", ["--config", "--space"])

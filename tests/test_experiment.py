@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -138,6 +139,13 @@ class TestSpaceFile:
         with pytest.raises(InvalidConfig, match="line 2: 'scheme'"):
             parse_space("scheme = tf_only\nscheme = tf_idf\n")
 
+    @pytest.mark.parametrize("text", ["1_0", "+5", "\u0665"],
+                             ids=["underscore", "plus", "arabic_indic_digit"])
+    def test_integer_not_ascii_digits(self, text):
+        # int() takes each of these texts, so such a space was once accepted
+        with pytest.raises(InvalidConfig, match=f"^node_limit: {re.escape(repr(text))} is not"):
+            parse_space(f"node_limit = 5, {text}\n")
+
     @pytest.mark.parametrize("text", [
         "map_limit = none\nnode_limit = none\nday_window = 7\n",
         "map_limit = none\nnode_limit = none, 5\nday_window = none\n",
@@ -170,8 +178,13 @@ class TestConfigFile:
         ("day_window = 30\nfallback_any = true\n", "fallback_any needs node_limit"),
         ("node_limit = 5\nfallback_any = yes\n",
          "fallback_any: expected true or false, got 'yes'"),
-        ("node_limit = ten\n", "node_limit: invalid literal for int"),
-    ], ids=["fallback_any_without_node_limit", "flag_not_true_or_false", "value_not_parsed"])
+        ("node_limit = ten\n", "node_limit: 'ten' is not an integer"),
+        ("node_limit = 1_000\n", "node_limit: '1_000' is not an integer"),
+        ("node_limit = +5\n", "node_limit: '+5' is not an integer"),
+        ("node_limit = \u0665\n", "node_limit: '\u0665' is not an integer"),
+        ("node_limit = 5\nmodel_size = 1_0\n", "model_size: '1_0' is not an integer"),
+    ], ids=["fallback_any_without_node_limit", "flag_not_true_or_false", "value_not_parsed",
+            "underscore", "plus", "arabic_indic_digit", "int_field_underscore"])
     def test_bad_value(self, text, message):
         with pytest.raises(InvalidConfig) as exc:
             parse_config(text)
