@@ -3,8 +3,10 @@ import json
 import os
 import random
 import re
+import shlex
 import signal
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,28 @@ from conftest import (DAY_MS, WORDS, assert_no_child_left, node, serialize_mindm
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+def readme_examples(text):
+    """The `mindrec ...` lines of the ```sh blocks of a README text, each
+    with its backslash continuations joined, as argv lists."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("mindrec ")]
+
+
+def test_readme_examples_parse():
+    # an example the parser rejects would fail a reader with a usage error
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    examples = readme_examples(text)
+    for argv in examples:
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: mindrec {shlex.join(argv)}")
+    assert {argv[0] for argv in examples} == {
+        "ingest-corpus", "ingest-mindmaps", "recommend", "offline-eval", "metrics",
+        "reiterate", "export"}
 
 
 GOOD_SET = json.dumps({

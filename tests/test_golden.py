@@ -27,7 +27,9 @@ import contextlib
 import functools
 import hashlib
 import io
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -207,6 +209,28 @@ def test_recommend_reads_other_users_for_links_only(rich, tmp_path, monkeypatch)
     own = [(map_id, int(rev or 1)) for map_id, _, rev in
            (path.stem.partition("__rev") for path in (rich / "mindmaps" / user).glob("*.mm"))]
     assert len(own) > 1 and sorted(built) == sorted(own)
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_bytes_do_not_depend_on_hash_seed(rich, tmp_path, hash_seed):
+    """A fresh process writes the golden bytes under each hash seed, which
+    orders the iteration of every set of strings."""
+    space = tmp_path / "space.txt"
+    space.write_text(gen.SPACE_TEXT, encoding="utf-8")
+    common = ["--corpus", rich / "corpus.jsonl", "--mindmaps", rich / "mindmaps",
+              "--seed", SEED, "--now", gen.NOW]
+    runs = {
+        "offline/space.csv": ["offline-eval", *common, "--space", space],
+        "recommend/u0124-docear_combined.csv":
+            ["recommend", *common, "--user", "u0124", "--preset", "docear_combined"],
+    }
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for name, argv in runs.items():
+        out = tmp_path / name.replace("/", "-")
+        subprocess.run([sys.executable, "-m", "mindrec.cli", *map(str, argv), "--out", out],
+                       env=env, check=True, capture_output=True, timeout=120)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name], name
 
 
 # One parse of the rich maps for every worker count below.
