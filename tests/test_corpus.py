@@ -467,3 +467,61 @@ class TestRank:
     def test_empty_query_with_top(self):
         assert Corpus().rank([], top=5) == []
         assert small_corpus().rank([], top=1) == []
+
+
+class TestRankAfterMerges:
+    """`rank` and `document_frequency` against the index-free oracle on
+    corpora whose records merge: a re-ingest raises a count that other
+    documents already hold, counts reach 2 and 3, a citation repeats
+    within a record and across merged records, and weights may be
+    negative or zero."""
+
+    TITLES = [f"paper {w}" for w in WORDS[10:16]]
+
+    def _ingest_random(self, rng, corpus, reference, ingested, seen):
+        title = rng.choice(self.TITLES)
+        terms = [rng.choice(WORDS[:4]) for _ in range(rng.randint(0, 6))]
+        cites = rng.sample(self.TITLES, rng.randint(0, 2))
+        if cites and rng.random() < 0.5:     # the same title again, spelt otherwise
+            cites.append(cites[0].upper() + "!")
+        seen["cited_twice"] += len(cites) > len({cleantitle(c) for c in cites})
+        if title in ingested:
+            doc = reference.documents[corpus.lookup(title)]
+            others = [d for d in reference.documents.values() if d is not doc]
+            counts = Counter(tokenize(title)) + Counter(terms)
+            seen["raised"] += any(n > doc[3][t] and any(d[3][t] for d in others)
+                                  for t, n in counts.items())
+            seen["cited_again"] += any(corpus.cleantitle_index.get(cleantitle(c)) in doc[4]
+                                       for c in cites)
+        ingested.add(title)
+        ingest_both(corpus, reference, title, terms, cites)
+
+    def test_rank_and_document_frequency_match_brute_force(self):
+        rng = random.Random(43)
+        seen = Counter()
+        for _ in range(200):
+            corpus, reference = Corpus(), ReferenceIndex()
+            ingested = set()
+            for _ in range(rng.randint(2, 30)):
+                self._ingest_random(rng, corpus, reference, ingested, seen)
+            assert list(reference.documents) == list(corpus.documents)
+            docs = list(reference.documents.values())
+            for d in docs:
+                seen.update(f"tf{n}" for n in d[3].values())
+            features = [*WORDS[:4], *(t for d in docs for t in d[3]),
+                        *(citation_feature(c) for d in docs for c in d[4])]
+            for feature in set(features):
+                if feature.startswith("citation:"):
+                    holders = {d[0] for d in docs if feature[len("citation:"):] in d[4]}
+                else:
+                    holders = {d[0] for d in docs if d[3][feature]}
+                assert corpus.document_frequency(feature) == len(holders)
+            query = [(rng.choice(features), rng.choice([-2.5, -1.0, 0.0, 0.5, 1.0, 2.0,
+                                                        rng.uniform(-1, 1)]))
+                     for _ in range(rng.randint(1, 6))]
+            expected = brute_force_scores(reference, query)
+            assert corpus.rank(query) == expected
+            n = len(expected)
+            for top in {1, 2, n - 1, n, n + 3} - {-1, 0}:
+                assert corpus.rank(query, top=top) == expected[:top]
+        assert min(seen[k] for k in ("raised", "cited_again", "cited_twice", "tf2", "tf3")) > 50
