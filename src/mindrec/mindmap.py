@@ -106,12 +106,16 @@ def _synthetic_id(step):
 
 
 def _timestamp(attrs, name):
-    """The whole milliseconds of a time attribute; absent reads as 0."""
+    """The whole milliseconds of a time attribute; absent reads as 0.  The
+    text is a finite number as float() reads it, but ASCII, with no '_',
+    no leading '+' and no surrounding whitespace."""
     raw = attrs.get(name, "0")
-    try:
-        return int(float(raw))
-    except (ValueError, OverflowError):
-        raise MalformedInput(f"{name}={raw!r} is not a finite number") from None
+    if raw.isascii() and "_" not in raw and raw[:1] != "+" and raw == raw.strip():
+        try:
+            return int(float(raw))
+        except (ValueError, OverflowError):
+            pass
+    raise MalformedInput(f"{name}={raw!r} is not a finite number")
 
 
 def _walk_map(data, visit):

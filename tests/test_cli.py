@@ -12,8 +12,8 @@ import pytest
 
 from mindrec import cli, evaluation, experiment
 from mindrec.corpus import load_corpus_jsonl
-from mindrec.errors import InvariantViolation, MalformedRow, MindrecError
-from mindrec.mindmap import MindMap
+from mindrec.errors import InvariantViolation, MalformedInput, MalformedRow, MindrecError
+from mindrec.mindmap import MindMap, parse_mindmap, read_map_links
 
 from conftest import (DAY_MS, WORDS, assert_no_child_left, node, serialize_mindmap,
                       synthetic_id, write_cli_fixture)
@@ -1081,6 +1081,38 @@ class TestMalformedInput:
             argv = ["ingest-mindmaps", "--mindmaps", maps_dir]
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: {bad}: {where}{text!r} is not an integer\n"
+
+    @pytest.mark.parametrize("text", ["1_000", " 5", "5 ", "+5", "٥", "５",
+                                      "inf", "nan", "1e999", ""],
+                             ids=["underscore", "leading_blank", "trailing_blank", "plus",
+                                  "arabic_indic_digit", "fullwidth_digit", "inf", "nan",
+                                  "overflowing", "empty"])
+    @pytest.mark.parametrize("read", [parse_mindmap, read_map_links],
+                             ids=["parse_mindmap", "read_map_links"])
+    def test_time_that_is_not_an_ascii_number_named(self, tmp_path, capsys, read, text):
+        # float() takes the first six, so such a map was once read in silence,
+        # though the same text is malformed as a sidecar `at`.
+        data = f'<map><node ID="a"><node ID="b" CREATED="{text}"/></node></map>'.encode()
+        with pytest.raises(MalformedInput) as info:
+            read(data)
+        assert str(info.value) == f"CREATED={text!r} is not a finite number"
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        bad = maps_dir / "user01" / "m.mm"
+        bad.write_bytes(data)
+        # ingest-mindmaps parses user01's maps; recommend for user00 reads only their links
+        command = (["ingest-mindmaps", "--mindmaps", maps_dir] if read is parse_mindmap else
+                   ["recommend", "--corpus", corpus_path, "--mindmaps", maps_dir,
+                    "--user", "user00", "--seed", 1, "--now", now])
+        assert run(command) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {info.value}\n"
+
+    @pytest.mark.parametrize("text, ms", [("17", 17), ("-5", -5), ("1.9", 1), ("2e3", 2000),
+                                          ("1E+2", 100), (".5e1", 5)])
+    def test_time_as_an_ascii_number_read(self, text, ms):
+        data = f'<map><node ID="a" CREATED="{text}" MODIFIED="{text}"/></map>'.encode()
+        mindmap = parse_mindmap(data)
+        assert (mindmap.root.created_at, mindmap.saved_at) == (ms, ms)
+        assert read_map_links(data).map_id == "map"
 
     @pytest.mark.parametrize("command", ["metrics", "export"])
     @pytest.mark.parametrize("field", ["set_id", "user_id", "doc_id"])
