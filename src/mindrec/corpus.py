@@ -8,7 +8,6 @@ and citation features can share one query (mixed user models).
 import heapq
 import math
 import re
-from collections import Counter
 
 from .errors import EmptyTitle, UnknownTitle
 from .rows import read_jsonl
@@ -60,16 +59,22 @@ class Corpus:
     cite.  Each minted document counts toward N in idf = ln(N/df).  After
     `freeze` the query path only reads: `lookup` of an unseen title raises.
 
-    Postings are keyed by a document's ordinal, its 0-based mint position
+    A posting names a document by its ordinal, its 0-based mint position
     (`document_id(ordinal)` is its id), so that `rank` can add scores into
-    a list indexed by ordinal.
+    a list indexed by ordinal.  Each feature's postings are grouped by tf,
+    so that `rank` computes one float per group: a list of
+    (tf, [ordinal, ...]) pairs, each document in one group, the groups and
+    the ordinals within one in no particular order.  Every posting of a
+    document holds the same ordinal int.  Only a record that merges with
+    one ingested before searches the groups for its ordinal.
     """
 
     def __init__(self):
         self.documents = {}
         self.cleantitle_index = {}
-        self.term_index = {}      # term -> {ordinal: tf}
-        self.citation_index = {}  # cited doc_id -> {citing ordinal: 1}
+        self.term_index = {}      # term -> [(tf, [ordinal, ...]), ...]
+        self.citation_index = {}  # cited doc_id -> [(1, [citing ordinal, ...])]
+        self._ingested = bytearray()  # ordinal -> 1 once a record of it was ingested
 
     def __len__(self):
         return len(self.documents)
@@ -83,6 +88,7 @@ class Corpus:
         doc_id = document_id(len(self.documents))
         self.documents[doc_id] = reference
         self.cleantitle_index[key] = doc_id
+        self._ingested.append(0)
         return doc_id
 
     def freeze(self, links):
@@ -111,31 +117,28 @@ class Corpus:
         doc_id = self.resolve_citation(title)
         self.documents[doc_id] = title
         ordinal = _ordinal(doc_id)   # one int object shared by every posting
+        merging = self._ingested[ordinal]
+        self._ingested[ordinal] = 1
 
-        term_index = self.term_index
-        for term, n in Counter([*tokenize(title), *(t.lower() for t in body_terms or ())]).items():
-            postings = term_index.get(term)
-            if postings is None:
-                term_index[term] = {ordinal: n}
-            elif postings.get(ordinal, 0) < n:
-                postings[ordinal] = n
-
-        for reference in citations:
-            cited = self.resolve_citation(reference)
-            postings = self.citation_index.get(cited)
-            if postings is None:
-                self.citation_index[cited] = {ordinal: 1}
-            else:
-                postings[ordinal] = 1
+        counts = {}
+        for term in tokenize(title):
+            counts[term] = counts.get(term, 0) + 1
+        for term in body_terms or ():
+            term = term.lower()
+            counts[term] = counts.get(term, 0) + 1
+        _post(self.term_index, counts, ordinal, merging)
+        cited = dict.fromkeys([self.resolve_citation(r) for r in citations], 1)
+        _post(self.citation_index, cited, ordinal, merging)
         return doc_id
 
     def _postings(self, feature):
         if is_citation_feature(feature):
-            return self.citation_index.get(feature[len(CITATION_PREFIX):], {})
-        return self.term_index.get(feature, {})
+            return self.citation_index.get(feature[len(CITATION_PREFIX):], ())
+        return self.term_index.get(feature, ())
 
     def document_frequency(self, feature):
-        return len(self._postings(feature))
+        """The number of documents that have `feature`."""
+        return sum(len(ordinals) for _, ordinals in self._postings(feature))
 
     def idf(self, feature):
         """ln(N/df) over the whole corpus; 0.0 for a feature no document has."""
@@ -143,7 +146,9 @@ class Corpus:
         return math.log(n_docs / df) if df else 0.0
 
     def rank(self, features, top=None):
-        """Weighted TF-IDF dot product over the inverted indexes.
+        """Weighted TF-IDF dot product over the inverted indexes: for each
+        feature in turn, `q_weight * tf * idf` is computed once per tf group
+        and added to the score of each document in the group.
 
         `features`: a list of (feature, weight) pairs.  Returns
         [(doc_id, score)] sorted score-descending, ties by doc_id;
@@ -157,8 +162,10 @@ class Corpus:
             idf = self.idf(feature)
             if idf == 0.0:
                 continue
-            for i, tf in self._postings(feature).items():
-                scores[i] += q_weight * tf * idf
+            for tf, ordinals in self._postings(feature):
+                x = q_weight * tf * idf
+                for i in ordinals:
+                    scores[i] += x
         cut = heapq.nlargest(top, scores)[-1] if top and top < len(scores) else 0.0
         if cut <= 0.0:   # a negative score can make the top: keep every non-zero one
             cut = -math.inf
@@ -169,6 +176,40 @@ class Corpus:
     def score_query(self, features):
         """The full ranking: `rank(features)`."""
         return self.rank(features)
+
+
+def _post(index, counts, ordinal, merging):
+    """Post one document's {feature: count} into `index` under `ordinal`.
+    `merging`: an earlier record of the document may have posted it
+    already; then the larger count stays.  Only a merge searches the
+    groups for the ordinal."""
+    for feature, n in counts.items():
+        groups = index.get(feature)
+        if groups is None:
+            index[feature] = [(n, [ordinal])]
+            continue
+        if merging and not _unpost_smaller(groups, ordinal, n):
+            continue
+        for tf, ordinals in groups:
+            if tf == n:
+                ordinals.append(ordinal)
+                break
+        else:
+            groups.append((n, [ordinal]))
+
+
+def _unpost_smaller(groups, ordinal, n):
+    """Take `ordinal` out of its group when its count is below `n`, dropping
+    a group left empty.  False when it is posted with a count of `n` or more."""
+    for k, (tf, ordinals) in enumerate(groups):
+        if ordinal in ordinals:
+            if tf >= n:
+                return False
+            ordinals.remove(ordinal)
+            if not ordinals:
+                del groups[k]
+            return True
+    return True
 
 
 def _strings(value):

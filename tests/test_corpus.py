@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from mindrec import corpus as corpus_module
 from mindrec.corpus import Corpus, citation_feature, cleantitle, document_id, load_corpus_jsonl
 from mindrec.errors import EmptyTitle, MalformedRow, MindrecError
 from mindrec.text import tokenize
@@ -65,9 +66,9 @@ class TestResolveIngest:
         a = corpus.ingest_document("Paper Alpha Topic")
         b = corpus.ingest_document("Paper Beta Topic", citations=["Paper Alpha Topic"])
         assert cited_by(corpus, b) == [a]
-        # postings are keyed by the citing document's ordinal
-        assert corpus.citation_index[a] == {list(corpus.documents).index(b): 1}
-        assert [document_id(i) for i in corpus.citation_index[a]] == [b]
+        # postings name the citing document by its ordinal
+        assert postings(corpus.citation_index)[a] == {list(corpus.documents).index(b): 1}
+        assert [document_id(i) for i in postings(corpus.citation_index)[a]] == [b]
 
     def test_ingest_duplicate_title_merges(self):
         corpus = Corpus()
@@ -86,6 +87,21 @@ class TestResolveIngest:
         assert bag(corpus, a) == {"same": 1, "paper": 1, "here": 1,
                                   "alpha": 2, "beta": 2, "gamma": 1}
         assert cited_by(corpus, a) == [corpus.lookup("Cited Work")]
+
+    def test_only_a_merge_searches_the_groups(self, monkeypatch):
+        # a document first minted as a citation has no postings to search
+        searched = []
+        unpost = corpus_module._unpost_smaller
+        monkeypatch.setattr(corpus_module, "_unpost_smaller",
+                            lambda *args: searched.append(args[1:]) or unpost(*args))
+        corpus = Corpus()
+        corpus.ingest_document("Paper Alpha Topic", citations=["Paper Beta Topic"])
+        corpus.ingest_document("Paper Beta Topic", body_terms=["alpha"],
+                               citations=["Paper Alpha Topic"])
+        assert searched == []
+        beta = corpus.ingest_document("paper beta topic!", body_terms=["alpha", "alpha"])
+        assert searched == [(1, 1), (1, 1), (1, 1), (1, 2)]
+        assert bag(corpus, beta) == {"paper": 1, "beta": 1, "topic": 1, "alpha": 2}
 
     def test_empty_title_rejected(self):
         with pytest.raises(EmptyTitle):
@@ -144,17 +160,32 @@ class TestResolveIngest:
         assert bag(corpus, doc) == {"alpha": 3, "beta": 1}
 
 
+def postings(index):
+    """{feature: {ordinal: tf}} of a corpus's term or citation index, in the
+    index's feature order; the order within one feature's postings is not
+    kept, since no output depends on it.  Asserts that each of a feature's
+    tf groups is non-empty and has its own tf, and that each document is in
+    one of them."""
+    out = {}
+    for feature, groups in index.items():
+        out[feature] = {i: tf for tf, ordinals in groups for i in ordinals}
+        assert all(ordinals for _, ordinals in groups)
+        assert len({tf for tf, _ in groups}) == len(groups)
+        assert len(out[feature]) == sum(len(ordinals) for _, ordinals in groups)
+    return out
+
+
 def bag(corpus, doc_id):
     """{term: count} of one document, read back from the term postings."""
     ordinal = list(corpus.documents).index(doc_id)
-    return {term: postings[ordinal] for term, postings in corpus.term_index.items()
-            if ordinal in postings}
+    return {term: tfs[ordinal] for term, tfs in postings(corpus.term_index).items()
+            if ordinal in tfs}
 
 
 def cited_by(corpus, doc_id):
     """The ids one document cites, read back from the citation postings."""
     ordinal = list(corpus.documents).index(doc_id)
-    return [cited for cited, postings in corpus.citation_index.items() if ordinal in postings]
+    return [cited for cited, tfs in postings(corpus.citation_index).items() if ordinal in tfs]
 
 
 class ReferenceIndex:
@@ -200,20 +231,20 @@ class ReferenceIndex:
     def state(self):
         return ([(d[0], d[1], d[2], d[3], sorted(d[4])) for d in self.documents.values()],
                 list(self.cleantitle_index.items()),
-                [(k, list(v.items())) for k, v in self.term_index.items()],
-                [(k, list(v.items())) for k, v in self.citation_index.items()])
+                list(self.term_index.items()), list(self.citation_index.items()))
 
 
 def index_state(corpus):
-    """Every index of a corpus as lists, so that order counts in comparisons,
+    """Every index of a corpus as lists, so that document and feature order
+    count in comparisons, each feature's postings as `postings` gives them,
     and each document's title, cleantitle, bag and cited ids, the last two
     read back from the postings."""
     return ([(doc_id, title, cleantitle(title), Counter(bag(corpus, doc_id)),
               sorted(cited_by(corpus, doc_id)))
              for doc_id, title in corpus.documents.items()],
             list(corpus.cleantitle_index.items()),
-            [(k, list(v.items())) for k, v in corpus.term_index.items()],
-            [(k, list(v.items())) for k, v in corpus.citation_index.items()])
+            list(postings(corpus.term_index).items()),
+            list(postings(corpus.citation_index).items()))
 
 
 class TestIngestAgainstReference:
