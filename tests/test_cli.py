@@ -1082,7 +1082,7 @@ class TestMalformedInput:
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: {bad}: {where}{text!r} is not an integer\n"
 
-    @pytest.mark.parametrize("text", ["1_000", " 5", "5 ", "+5", "٥", "５",
+    @pytest.mark.parametrize("text", ["1_000", " 5", "5 ", "+5", "\u0665", "\uff15",
                                       "inf", "nan", "1e999", ""],
                              ids=["underscore", "leading_blank", "trailing_blank", "plus",
                                   "arabic_indic_digit", "fullwidth_digit", "inf", "nan",
