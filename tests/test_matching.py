@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from mindrec import cli, evaluation, experiment, matching
+from mindrec.corpus import Corpus, is_citation_feature
 from mindrec.errors import NoModel
 from mindrec.experiment import preset
 from mindrec.matching import (
@@ -14,7 +16,8 @@ from mindrec.matching import (
 from mindrec.mindmap import NodeEvent
 from mindrec.usermodel import DAY_MS, UserModel
 
-from conftest import node, single_map_collection, small_corpus
+from conftest import WORDS, node, scripted_collection, single_map_collection, small_corpus
+from test_corpus import ReferenceIndex, brute_force_scores, ingest_both
 
 
 def model_of(*features):
@@ -40,6 +43,52 @@ class TestRetrieveCandidates:
 
     def test_empty_model(self, corpus3):
         assert retrieve_candidates(corpus3, UserModel(user_id="u", features=[])) == []
+
+    def test_random_configs_match_brute_force(self):
+        """The pool of a model built under a random config, weights stored
+        or not, is the index-free oracle's ranking cut to the pool size;
+        a feature's query weight is its stored weight, or 1.0 when the
+        config stores none."""
+        rng = random.Random(28)
+        corpus, reference = Corpus(), ReferenceIndex()
+        titles = []
+        for i in range(60):
+            title = f"{rng.choice(WORDS)} {rng.choice(WORDS)} {i}"
+            cites = rng.sample(titles, min(len(titles), rng.choice([0, 0, 1, 2])))
+            ingest_both(corpus, reference, title,
+                        [rng.choice(WORDS[:40]) for _ in range(rng.randint(1, 8))], cites)
+            titles.append(title)
+        collection, now = scripted_collection(n_nodes=120, seed=28)
+        for mindmap in collection.maps.values():
+            for node_id in mindmap.node_ids():
+                if rng.random() < 0.15:  # an unseen title is minted by freeze
+                    mindmap.node(node_id).link = rng.choice(titles[:50] + [f"Ghost {node_id}"])
+        links = {collection.user_id: collection.links()}
+        corpus.freeze(links)
+        for link in links[collection.user_id]:
+            reference.resolve(link)
+        assert list(reference.documents) == list(corpus.documents)
+
+        built, full_pools, cited = {False: 0, True: 0}, 0, 0
+        for _ in range(80):
+            drawn = experiment.random_config(experiment.DEFAULT_SPACE, rng)
+            features = {}
+            for store_weights in (False, True):
+                config = replace(drawn, store_weights=store_weights)
+                try:
+                    model = experiment.build_model(collection, corpus, config, now)
+                except NoModel:
+                    continue
+                built[store_weights] += 1
+                features[store_weights] = [f for f, _ in model.features]
+                query = [(f, w if store_weights else 1.0) for f, w in model.features]
+                pool = retrieve_candidates(corpus, model)
+                assert pool == brute_force_scores(reference, query)[:matching.DEFAULT_POOL_SIZE]
+                full_pools += len(pool) == matching.DEFAULT_POOL_SIZE
+                cited += any(is_citation_feature(f) for f in features[store_weights])
+            if features:  # storing weights keeps the same features in the same order
+                assert features[False] == features[True]
+        assert built[False] == built[True] >= 30 and full_pools >= 10 and cited >= 10
 
 
 class TestSelectAndShuffle:
@@ -144,6 +193,19 @@ class TestDispatch:
             for _ in range(trials)
         )
         assert 0.007 <= hits / trials <= 0.013
+
+    def test_stereotype_preset_builds_no_model(self, corpus3, monkeypatch):
+        def build_model(*args, **kwargs):
+            pytest.fail("dispatch built a model under the stereotype preset")
+
+        monkeypatch.setattr(matching, "build_model", build_model)
+        collection, corpus, _, catalog, now = self._args(corpus3)
+        for seed in range(20):
+            for p_stereotype in (0.0, 0.5, 1.0):
+                rec = dispatch(collection, corpus, preset("stereotype"), catalog,
+                               random.Random(seed), p_stereotype=p_stereotype, now=now)
+                assert rec.algorithm == "stereotype"
+                assert {item.doc_id for item in rec.items} == set(catalog)
 
 
 class TestDeriveSeed:
