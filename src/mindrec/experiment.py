@@ -192,10 +192,9 @@ def preset(name):
 def build_model(collection, corpus, config, now):
     """Run every pipeline stage the configuration describes, ending in
     the model built at `now`.  With fallback_any, a selection of fewer
-    than node_limit nodes is made again with event_kind "any"."""
-    if config.preset_name == "stereotype":
-        raise InvalidConfig("the stereotype preset builds no user model; "
-                            "only recommend serves it")
+    than node_limit nodes is made again with event_kind "any".  The
+    stereotype preset is never built: `matching.dispatch` serves it
+    without a model, and `offline-eval` rejects it."""
     selection = select_nodes(collection, config, now)
     if config.fallback_any and len(selection) < config.node_limit:
         selection = select_nodes(collection, replace(config, event_kind="any"), now)
@@ -207,7 +206,7 @@ def build_model(collection, corpus, config, now):
     )
     weighted = weight_features(occurrences, config.scheme,
                                corpus=corpus, collection=collection)
-    return build_user_model(weighted, config, collection.user_id)
+    return build_user_model(weighted, config)
 
 
 # --- flat key=value serialization ------------------------------------------

@@ -39,8 +39,7 @@ class RecommendationSet:
 
 def retrieve_candidates(corpus, model, pool_size=DEFAULT_POOL_SIZE):
     """Ranked candidate pool for a user model, truncated to pool_size."""
-    query = [(f, 1.0 if w is None else w) for f, w in model.features]
-    return corpus.rank(query, top=pool_size)
+    return corpus.rank(model.features, top=pool_size)
 
 
 def content_pool(collection, corpus, config, now):

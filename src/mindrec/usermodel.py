@@ -45,8 +45,9 @@ COMBINERS = {
 
 @dataclass
 class UserModel:
-    user_id: str
-    features: list                   # [(feature, weight-or-None)] weight-desc order
+    """The query retrieval reads as it is: [(feature, weight)], the
+    heaviest feature first; a model that stores no weights holds 1.0."""
+    features: list
 
     def feature_list(self):
         return [f for f, _ in self.features]
@@ -214,18 +215,12 @@ def weight_features(occurrences, scheme, corpus=None, collection=None):
     raise ValueError(f"unknown weighting scheme {scheme!r}")
 
 
-def build_user_model(weighted_features, cfg, user_id):
+def build_user_model(weighted_features, cfg):
     """Keep the top model_size positive-weight features, weight-descending.
-
-    Order survives even when weights are discarded (store_weights=False).
-    """
+    Without store_weights each keeps that order but weighs 1.0."""
     positive = [(f, w) for f, w in weighted_features if w > 0]
     if not positive:
         raise NoPositiveFeatures("every candidate feature has weight <= 0")
     positive.sort(key=lambda pair: (-pair[1], pair[0]))
     kept = positive[: cfg.model_size]
-    if cfg.store_weights:
-        features = kept
-    else:
-        features = [(f, None) for f, _ in kept]
-    return UserModel(user_id=user_id, features=features)
+    return UserModel(kept if cfg.store_weights else [(f, 1.0) for f, _ in kept])

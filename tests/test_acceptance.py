@@ -228,8 +228,8 @@ def test_tf_iduf_laws():
     cfg = AlgorithmConfig(feature_type="terms", scheme="tf_only",
                           remove_stopwords=False, model_size=20,
                           store_weights=False)
-    base = build_user_model(features, cfg, "u")
-    scaled = build_user_model([(f, w * 123.0) for f, w in features], cfg, "u")
+    base = build_user_model(features, cfg)
+    scaled = build_user_model([(f, w * 123.0) for f, w in features], cfg)
     assert base.features == scaled.features
     print(f"{PASS} TF-IDuF zero law for terms in all user maps; argmax "
           f"invariance under positive scaling")

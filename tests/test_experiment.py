@@ -58,11 +58,6 @@ class TestPresets:
     def test_stereotype_flag(self):
         assert preset("stereotype").preset_name == "stereotype"
 
-    def test_stereotype_builds_no_model(self):
-        with pytest.raises(InvalidConfig, match="stereotype preset builds no user model"):
-            build_model(scripted_collection(), small_corpus(), preset("stereotype"),
-                        now=1_700_000_000_000)
-
     def test_unknown(self):
         with pytest.raises(InvalidConfig, match="nope"):
             preset("nope")

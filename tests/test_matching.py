@@ -21,7 +21,7 @@ from test_corpus import ReferenceIndex, brute_force_scores, ingest_both
 
 
 def model_of(*features):
-    return UserModel(user_id="u", features=[(f, None) for f in features])
+    return UserModel([(f, 1.0) for f in features])
 
 
 class TestRetrieveCandidates:
@@ -42,7 +42,7 @@ class TestRetrieveCandidates:
         assert retrieve_candidates(corpus3, model_of("zzz")) == []
 
     def test_empty_model(self, corpus3):
-        assert retrieve_candidates(corpus3, UserModel(user_id="u", features=[])) == []
+        assert retrieve_candidates(corpus3, UserModel([])) == []
 
     def test_random_configs_match_brute_force(self):
         """The pool of a model built under a random config, weights stored

@@ -449,30 +449,30 @@ class TestBuildUserModel:
         rng = random.Random(2)
         weighted = [(f"term{i:02d}", rng.choice([0.5, 1.0, 2.0, 3.0]))
                     for i in range(40)]
-        model = build_user_model(weighted, self._cfg(), "u")
+        model = build_user_model(weighted, self._cfg())
         expected = sorted(weighted, key=lambda p: (-p[1], p[0]))[:35]
         assert model.features == expected
 
     def test_k_above_population(self):
         weighted = [("aa", 1.0), ("bb", 2.0)]
-        model = build_user_model(weighted, self._cfg(model_size=100), "u")
+        model = build_user_model(weighted, self._cfg(model_size=100))
         assert model.feature_list() == ["bb", "aa"]
 
     def test_all_zero_weights(self):
         with pytest.raises(NoPositiveFeatures):
-            build_user_model([("aa", 0.0), ("bb", 0.0)], self._cfg(), "u")
+            build_user_model([("aa", 0.0), ("bb", 0.0)], self._cfg())
 
     def test_unweighted_keeps_order(self):
         weighted = [("low", 1.0), ("high", 5.0)]
-        model = build_user_model(weighted, self._cfg(store_weights=False), "u")
-        assert model.features == [("high", None), ("low", None)]
+        model = build_user_model(weighted, self._cfg(store_weights=False))
+        assert model.features == [("high", 1.0), ("low", 1.0)]
 
     def test_argmax_invariance_under_scaling(self):
         rng = random.Random(9)
         weighted = [(f"t{i}", rng.uniform(0.1, 5)) for i in range(50)]
-        base = build_user_model(weighted, self._cfg(store_weights=False), "u")
+        base = build_user_model(weighted, self._cfg(store_weights=False))
         scaled = build_user_model([(f, w * 17.0) for f, w in weighted],
-                                  self._cfg(store_weights=False), "u")
+                                  self._cfg(store_weights=False))
         assert base.features == scaled.features
 
 
@@ -537,7 +537,7 @@ class TestCombinedAlgorithm:
         collection, now = scripted_collection()
         model = build_model(collection, corpus3, preset("docear_combined"), now)
         assert model.feature_list() == combined_oracle(collection, now)
-        assert all(w is None for _, w in model.features)
+        assert all(w == 1.0 for _, w in model.features)
         assert len(model.features) <= 35
 
     def test_fallback_without_moved_events(self, corpus3):
