@@ -27,7 +27,7 @@ from .evaluation import RecEvent, SetRating
 from .matching import RecommendationItem, RecommendationSet
 from .mindmap import (MindMapCollection, parse_mindmap, read_event_log, read_map_links,
                       revision_chains)
-from .rows import csv_row_of, integer, integers, read_csv, read_jsonl, read_text
+from .rows import csv_row_of, integer, integers, read_csv, read_jsonl, read_text, real
 
 SET_FIELDS = tuple(f.name for f in dataclasses.fields(RecommendationSet))
 ITEM_FIELDS = tuple(f.name for f in dataclasses.fields(RecommendationItem))
@@ -520,8 +520,8 @@ def cmd_export(args):
 # --- argument parsing ------------------------------------------------------
 
 def probability(text):
-    """A float p with 0 <= p <= 1; `nan` fails the comparison too."""
-    p = float(text)
+    """A `real` p with 0 <= p <= 1; `nan` fails the comparison too."""
+    p = real(text)
     if not 0.0 <= p <= 1.0:
         raise argparse.ArgumentTypeError(f"{text!r} is not a probability in [0, 1]")
     return p
@@ -541,7 +541,7 @@ def build_parser():
         p.add_argument("--corpus", required=True)
         if maps:
             p.add_argument("--mindmaps", required=True)
-            p.add_argument("--now", type=int, default=0)
+            p.add_argument("--now", type=integer, default=0)
         p.add_argument("--out")
 
     def config_choice(p):
@@ -562,7 +562,7 @@ def build_parser():
     p = sub.add_parser("recommend")
     common(p, maps=True)
     config_choice(p)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=integer, required=True)
     p.add_argument("--user", required=True)
     p.add_argument("--stereotype")
     p.add_argument("--p-stereotype", type=probability, default=matching.DEFAULT_P_STEREOTYPE)
@@ -573,7 +573,7 @@ def build_parser():
     p = sub.add_parser("offline-eval")
     common(p, maps=True)
     config_choice(p).add_argument("--space")
-    p.add_argument("--seed", type=int)  # read only with --space
+    p.add_argument("--seed", type=integer)  # read only with --space
     p.set_defaults(func=cmd_offline_eval, usage_error=p.error)
 
     p = sub.add_parser("metrics")

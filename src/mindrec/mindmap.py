@@ -11,7 +11,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 from .errors import InconsistentRevisions, MalformedInput, NoRoot, UnknownNode
-from .rows import integers, read_csv
+from .rows import integers, read_csv, real
 
 EVENT_KINDS = ("created", "edited", "moved")
 
@@ -106,16 +106,13 @@ def _synthetic_id(step):
 
 
 def _timestamp(attrs, name):
-    """The whole milliseconds of a time attribute; absent reads as 0.  The
-    text is a finite number as float() reads it, but ASCII, with no '_',
-    no leading '+' and no surrounding whitespace."""
+    """The whole milliseconds of a time attribute, a finite `rows.real`;
+    absent reads as 0."""
     raw = attrs.get(name, "0")
-    if raw.isascii() and "_" not in raw and raw[:1] != "+" and raw == raw.strip():
-        try:
-            return int(float(raw))
-        except (ValueError, OverflowError):
-            pass
-    raise MalformedInput(f"{name}={raw!r} is not a finite number")
+    try:
+        return int(real(raw))
+    except (ValueError, OverflowError):
+        raise MalformedInput(f"{name}={raw!r} is not a finite number") from None
 
 
 def _walk_map(data, visit):

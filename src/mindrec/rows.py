@@ -55,6 +55,15 @@ def integer(text):
     return int(text)
 
 
+def real(text):
+    """The float of `text`, ASCII with no '_', no leading '+' and no
+    surrounding whitespace; ValueError for the other texts float() takes,
+    such as '1_000', ' 5', '+5' and digits of other scripts."""
+    if not (text.isascii() and "_" not in text and text[:1] != "+" and text == text.strip()):
+        raise ValueError(f"{text!r} is not a number")
+    return float(text)
+
+
 def integers():
     """`integer` for the integer fields of one read of `read_csv`: each
     distinct text is checked once and gives one int.  A text is hashed

@@ -23,6 +23,13 @@ def run(argv):
     return cli.main([str(a) for a in argv])
 
 
+# Texts int() reads as numbers, but the integer rule of the input files rejects.
+NUMBERS_INT_READ = [("--seed", "1_0"), ("--seed", "٧"), ("--seed", " 7"), ("--seed", "+7"),
+                    ("--now", "1_000")]
+NUMBER_IDS = ["seed_underscore", "seed_arabic_indic_digit", "seed_leading_blank", "seed_plus",
+              "now_underscore"]
+
+
 def readme_examples(text):
     """The `mindrec ...` lines of the ```sh blocks of a README text, each
     with its backslash continuations joined, as argv lists."""
@@ -508,7 +515,7 @@ class TestRecommendCommand:
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert rows and {r["algorithm"] for r in rows} == {"stereotype"}
 
-    @pytest.mark.parametrize("value", ["-3", "1.5", "nan"])
+    @pytest.mark.parametrize("value", ["-3", "1.5", "nan", "0.0_1", "٠.٥", " 0.5"])
     def test_p_stereotype_outside_unit_interval_rejected(self, tmp_path, capsys, value):
         corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
         out = tmp_path / "rec.csv"
@@ -520,6 +527,28 @@ class TestRecommendCommand:
         err = capsys.readouterr().err
         assert "--p-stereotype" in err and value in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("option, value", NUMBERS_INT_READ, ids=NUMBER_IDS)
+    def test_number_that_int_reads_rejected(self, tmp_path, capsys, option, value):
+        # int() read each: `--seed 1_0` wrote the bytes of `--seed 10`, the
+        # other seeds ran as seed 7
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        numbers = {"--seed": 1, "--now": now, option: value}
+        out = tmp_path / "rec.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["recommend", "--corpus", corpus_path, "--mindmaps", maps_dir,
+                 "--user", "user01", *(f"{k}={v}" for k, v in numbers.items()), "--out", out])
+        assert exc.value.code == 2
+        assert f"argument {option}: invalid integer value: {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_and_exponent_probability_read(self, tmp_path):
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        out = tmp_path / "rec.csv"
+        assert run(["recommend", "--corpus", corpus_path, "--mindmaps", maps_dir,
+                    "--user", "user01", "--seed", "-3", "--now", now,
+                    "--p-stereotype", "5e-1", "--out", out]) == 0
+        assert "set_user01_-3" in out.read_text()
 
 
     def test_label_not_utf8_rejected(self, tmp_path, capsys):
@@ -593,6 +622,21 @@ class TestOfflineEvalCommand:
         assert run([*argv, "--out", tmp_path / "unseeded.csv"]) == 0
         assert run([*argv, "--seed", 7, "--out", tmp_path / "seeded.csv"]) == 0
         assert (tmp_path / "unseeded.csv").read_bytes() == (tmp_path / "seeded.csv").read_bytes()
+
+    @pytest.mark.parametrize("option, value", NUMBERS_INT_READ, ids=NUMBER_IDS)
+    def test_number_that_int_reads_rejected(self, tmp_path, capsys, option, value):
+        # int() read each: `--seed 1_0` drew the configs of `--seed 10`
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
+        (tmp_path / "space.txt").write_text("model_size = 5, 10\n")
+        numbers = {"--seed": 1, "--now": now, option: value}
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["offline-eval", "--corpus", corpus_path, "--mindmaps", maps_dir,
+                 "--space", tmp_path / "space.txt", *(f"{k}={v}" for k, v in numbers.items()),
+                 "--out", out])
+        assert exc.value.code == 2
+        assert f"argument {option}: invalid integer value: {value!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flag", [("offline-eval", "--space"),
                                                ("recommend", "--user")])
