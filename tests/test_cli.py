@@ -1385,6 +1385,19 @@ class TestIngestCommands:
         return run(["recommend", "--corpus", corpus_path, "--mindmaps", maps_dir,
                     "--user", user, "--seed", 1, "--now", now, *extra])
 
+    @staticmethod
+    def _offline_eval_errors(monkeypatch, capsys, corpus_path, maps_dir, now, *extra):
+        """The set of stderr texts of `offline-eval` with 1 and 2 CPUs
+        probed; each call must exit 1 and write no output."""
+        errors, out = set(), maps_dir.parent / "offline.csv"
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "usable_cpus", lambda: workers)
+            assert run(["offline-eval", "--corpus", corpus_path, "--mindmaps", maps_dir,
+                        "--seed", 1, "--now", now, *extra, "--out", out]) == 1
+            assert not out.exists()
+            errors.add(capsys.readouterr().err)
+        return errors
+
     @pytest.mark.parametrize("name, data", [
         ("m__revx.mm", b'<map><node ID="a"/></map>'),
         ("broken.mm", b"<map>\n"),
@@ -1400,7 +1413,7 @@ class TestIngestCommands:
             "infinite_created", "overflowing_modified", "duplicate_node_id",
             "duplicate_synthetic_id", "root_not_map", "two_top_level_nodes",
             "no_top_level_node"])
-    def test_bad_map_file_named(self, tmp_path, capsys, name, data):
+    def test_bad_map_file_named(self, tmp_path, capsys, monkeypatch, name, data):
         corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
         bad = maps_dir / "user01" / name
         bad.write_bytes(data)
@@ -1412,8 +1425,11 @@ class TestIngestCommands:
         # recommend reads user01 for its links only, and stops the same way
         assert self._recommend(corpus_path, maps_dir, now) == 1
         assert capsys.readouterr().err == err
+        # so does offline-eval, whatever number of workers it would fork
+        assert self._offline_eval_errors(monkeypatch, capsys, corpus_path, maps_dir, now) \
+            == {err}
 
-    def test_clashing_revision_numbers_named(self, tmp_path, capsys):
+    def test_clashing_revision_numbers_named(self, tmp_path, capsys, monkeypatch):
         corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=2)
         user_dir = maps_dir / "user01"
         for name in ("clash.mm", "clash__rev1.mm"):
@@ -1423,6 +1439,8 @@ class TestIngestCommands:
         assert err.startswith(f"error: {user_dir}: map 'clash': revision 1 after 1")
         assert self._recommend(corpus_path, maps_dir, now) == 1
         assert capsys.readouterr().err == err
+        assert self._offline_eval_errors(monkeypatch, capsys, corpus_path, maps_dir, now) \
+            == {err}
         # a sidecar event log does not lift the rule
         sidecar = user_dir / "events.csv"
         sidecar.write_text("map_id,node_id,kind,at\nclash,a,created,1\n")
@@ -1430,6 +1448,8 @@ class TestIngestCommands:
         assert capsys.readouterr().err == err
         assert self._recommend(corpus_path, maps_dir, now) == 1
         assert capsys.readouterr().err == err
+        assert self._offline_eval_errors(monkeypatch, capsys, corpus_path, maps_dir, now) \
+            == {err}
         # and a sidecar that cannot be read is reported first
         sidecar.write_text("map_id,node_id,kind,at\nclash,a,created,x\n")
         assert run(["ingest-mindmaps", "--mindmaps", maps_dir]) == 1
@@ -1499,6 +1519,18 @@ class TestIngestCommands:
         bad.write_bytes(b'<map><node ID="a"><node ID="a"/></node></map>')
         assert self._recommend(corpus_path, maps_dir, now, user, *extra) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: duplicate node id 'a'")
+
+    @pytest.mark.parametrize("option", [["--preset", "stereotype"], ["--space", "missing.txt"]],
+                             ids=["stereotype_preset", "unreadable_space"])
+    def test_map_error_wins_in_offline_eval(self, tmp_path, capsys, monkeypatch, option):
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=3)
+        bad = maps_dir / "user02" / "m.mm"
+        bad.write_bytes(b'<map><node ID="a"><node ID="a"/></node></map>')
+        if option[0] == "--space":
+            option = ["--space", tmp_path / option[1]]
+        errors = self._offline_eval_errors(monkeypatch, capsys, corpus_path, maps_dir, now,
+                                           *option)
+        assert errors == {f"error: {bad}: duplicate node id 'a' in map 'm'\n"}
 
     def test_within_a_user_the_first_fault_wins(self, tmp_path, capsys):
         # a bad timestamp anywhere in a file wins over a duplicate id that
