@@ -84,9 +84,9 @@ def load_user_collections(mindmaps_dir):
     return {user_dir.name: _load_collection(user_dir) for user_dir in _user_dirs(mindmaps_dir)}
 
 
-def load_user_links(mindmaps_dir, user_id):
-    """(the collection of `user_id`, None without its directory;
-    {user_id: links of the latest maps} of every user, for `Corpus.freeze`).
+def load_user_links(mindmaps_dir, user_id=None):
+    """(the collection of `user_id`, None without it or its directory; {user_id:
+    links of the latest maps} of every user, in sorted order, for `Corpus.freeze`).
 
     Only `user_id` is loaded in full.  The other users' maps are read for
     their links only, but every fault `load_user_collections` rejects
@@ -317,11 +317,15 @@ def cmd_recommend(args):
 
 
 def cmd_offline_eval(args):
+    """Every user's maps are read for their links, which freeze the corpus,
+    so each map fault is raised before the options are read and before a
+    worker forks.  Each block task then loads its users in full, one at a
+    time: only the corpus and the links are resident at the fork."""
     if args.space and args.seed is None:
         args.usage_error("argument --space: needs --seed")
     corpus = load_corpus_jsonl(args.corpus)
-    collections = load_user_collections(args.mindmaps)
-    corpus.freeze({user_id: c.links() for user_id, c in collections.items()})
+    _, links = load_user_links(args.mindmaps)
+    corpus.freeze(links)
     space = _parse_file(experiment.parse_space, args.space) if args.space else None
     config = None if space else _load_config(args)
     if config is not None and config.preset_name == "stereotype":
@@ -336,13 +340,14 @@ def cmd_offline_eval(args):
             if space:
                 rng = random.Random(matching.derive_seed(args.seed, user_id))
                 user_config = experiment.random_config(space, rng)
-            result = evaluation.offline_evaluate_user(collections[user_id], corpus, user_config)
+            collection = _load_collection(Path(args.mindmaps) / user_id)
+            result = evaluation.offline_evaluate_user(collection, corpus, user_config)
             if result is not None:
                 rows.append(offline_result_row(result))
         return rows
 
     # The sorted users in one contiguous block per CPU, never an empty block.
-    users = sorted(collections)
+    users = list(links)
     n_blocks = min(_fork_cpus(), len(users))
     blocks = [users[len(users) * i // n_blocks:len(users) * (i + 1) // n_blocks]
               for i in range(n_blocks)]

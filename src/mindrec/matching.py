@@ -7,7 +7,6 @@ catalog backs both the random stereotype arm and the fallback for users
 no model can be built for.
 """
 
-import hashlib
 from dataclasses import dataclass
 
 from .errors import NoModel
@@ -70,8 +69,10 @@ def select_and_shuffle(pool, rng, k=DEFAULT_SET_SIZE):
 
 
 def derive_seed(global_seed, user_id):
-    """Stable per-user seed: a user's draws do not depend on the other users."""
-    digest = hashlib.sha256(f"{global_seed}:{user_id}".encode()).digest()
+    """Stable per-user seed: a user's draws do not depend on the other users.
+    hashlib, which loads OpenSSL, is imported only when a seed is derived."""
+    from hashlib import sha256
+    digest = sha256(f"{global_seed}:{user_id}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

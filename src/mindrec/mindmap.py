@@ -5,7 +5,6 @@ holding nested ``node`` elements with ID/TEXT/FOLDED/LINK/CREATED/MODIFIED
 attributes.  Unknown attributes and elements are ignored.
 """
 
-import hashlib
 import xml.etree.ElementTree as ET
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
@@ -93,11 +92,15 @@ def _synthetic_id(step):
     index among its parent's `node` children at each depth from the root's
     0: "0/2/1".  `step` is [the parent's step (None for the root), the
     index, the sha1 of the path or None]; each sha1 made is kept in its
-    step, so a map feeds each index to sha1 once, however deep it is."""
+    step, so a map feeds each index to sha1 once, however deep it is.
+    hashlib, which loads OpenSSL, is imported at the first node without ID."""
+    from hashlib import sha1
     pending = []
-    while step[2] is None:
+    while step[2] is None and step[0] is not None:
         pending.append(step)
         step = step[0]
+    if step[2] is None:  # the root, whose path is "0"
+        step[2] = sha1(b"0")
     digest = step[2]
     for step in reversed(pending):
         digest = step[2] = digest.copy()
@@ -137,7 +140,7 @@ def _walk_map(data, visit):
     roots = [child for child in doc if child.tag == "node"]
     if len(roots) != 1:
         raise NoRoot(f"expected exactly one top-level node, found {len(roots)}")
-    stack = [(roots[0], [None, 0, hashlib.sha1(b"0")], None)]
+    stack = [(roots[0], [None, 0, None], None)]
     while stack:
         elem, step, parent = stack.pop()
         attrs = elem.attrib

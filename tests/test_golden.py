@@ -18,9 +18,11 @@ forced to 1, 2, 3 and more CPUs than users; so are those of `metrics
 --sets` and `export --events`, which read their second input in a
 worker, with 1 and 2 CPUs.
 
-`offline-eval` reads the maps through `cli.load_user_collections` and
-the online commands read the event log through `cli.replay_event_log`;
-none changes what they return, so the module parses each of them once.
+`offline-eval` and `recommend` read every user's links through
+`cli.load_user_links`, and `offline-eval` loads each user in full
+through `cli._load_collection`; the online commands read the event log
+through `cli.replay_event_log`.  No command changes what they return, so
+the module reads each of them once per argument.
 """
 
 import contextlib
@@ -47,6 +49,11 @@ SEED = 1
 PRESETS = ("docear_combined", "all_maps_all_terms", "stereotype")
 N_RECOMMEND_USERS = 3
 N_POOL_USERS = 40
+
+# One read of the rich maps for every in-process command below; a worker
+# forked after a warm read inherits it.
+_RICH_MAPS = {name: functools.cache(getattr(cli, name))
+              for name in ("load_user_links", "_load_collection")}
 
 GOLDEN = {
     "export/recommendation_sets.csv":
@@ -142,8 +149,9 @@ def digests(tmp_path_factory, rich, online):
     events, sets = online / "events.csv", online / "sets.jsonl"
 
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("load_user_collections", "replay_event_log"):
-            patch.setattr(cli, name, functools.cache(getattr(cli, name)))
+        for name, cached in (*_RICH_MAPS.items(),
+                             ("replay_event_log", functools.cache(cli.replay_event_log))):
+            patch.setattr(cli, name, cached)
         for preset in PRESETS[:2]:
             _run("offline-eval", *common, "--preset", preset,
                  "--out", out / "offline" / f"{preset}.csv")
@@ -233,10 +241,6 @@ def test_bytes_do_not_depend_on_hash_seed(rich, tmp_path, hash_seed):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name], name
 
 
-# One parse of the rich maps for every worker count below.
-_rich_collections = functools.cache(cli.load_user_collections)
-
-
 @pytest.mark.parametrize("workers", [1, 2, 3, "more_than_users"])
 @pytest.mark.parametrize("name", ["docear_combined", "all_maps_all_terms", "space"])
 def test_offline_eval_bytes_do_not_depend_on_worker_count(rich, tmp_path, monkeypatch,
@@ -246,7 +250,8 @@ def test_offline_eval_bytes_do_not_depend_on_worker_count(rich, tmp_path, monkey
     users = sorted(p.name for p in (rich / "mindmaps").iterdir())
     monkeypatch.setattr(cli, "usable_cpus",
                         lambda: len(users) + 1 if workers == "more_than_users" else workers)
-    monkeypatch.setattr(cli, "load_user_collections", _rich_collections)
+    for reader, cached in _RICH_MAPS.items():
+        monkeypatch.setattr(cli, reader, cached)
     space = tmp_path / "space.txt"
     space.write_text(gen.SPACE_TEXT, encoding="utf-8")
     out = tmp_path / "offline.csv"

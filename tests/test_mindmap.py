@@ -2,7 +2,6 @@ import hashlib
 import random
 import weakref
 import xml.etree.ElementTree as ET
-from types import SimpleNamespace
 
 import pytest
 
@@ -93,11 +92,11 @@ class TestParse:
     def test_synthetic_ids_of_a_deep_chain_hash_each_step_once(self, monkeypatch):
         # Each node's whole path was once hashed anew: about 4 million
         # bytes for a chain 2,000 deep.
-        fed = []
+        fed, sha1 = [], hashlib.sha1
 
         class CountingSha1:
             def __init__(self, data=b""):
-                self._sha1 = hashlib.sha1()
+                self._sha1 = sha1()
                 self.update(data)
 
             def update(self, data):
@@ -112,7 +111,7 @@ class TestParse:
             def hexdigest(self):
                 return self._sha1.hexdigest()
 
-        monkeypatch.setattr(mindmap, "hashlib", SimpleNamespace(sha1=CountingSha1))
+        monkeypatch.setattr(hashlib, "sha1", CountingSha1)  # imported when first needed
         depth = 2_000
         m = parse_mindmap("<map>" + "<node>" * depth + "</node>" * depth + "</map>")
         assert sum(fed) < 3 * depth  # "0", then "/0" a level

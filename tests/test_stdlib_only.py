@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import write_cli_fixture
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mindrec"
 
 
@@ -36,10 +38,27 @@ def test_package_imports_only_stdlib():
 def test_cli_import_loads_no_worker_modules():
     # Only a command that starts a worker imports multiprocessing: offline-eval
     # with a second block of users, and metrics --sets and export --events
-    # with a second CPU.
+    # with a second CPU.  Only a digest loads OpenSSL (_hashlib).
     code = ("import sys, mindrec.cli\n"
-            "print(sorted({'multiprocessing', 'pickle', 'socket'} & set(sys.modules)))\n")
+            "print(sorted({'multiprocessing', 'pickle', 'socket', '_hashlib'}"
+            " & set(sys.modules)))\n")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def test_offline_eval_without_a_digest_leaves_openssl_unloaded(tmp_path):
+    # _hashlib adds about 3.6 MB to every process.  Every node of the
+    # fixture carries an ID, and no preset derives a seed.
+    corpus, maps, now = write_cli_fixture(tmp_path, n_users=3)
+    code = ("import sys\nfrom mindrec import cli\n"
+            "status = cli.main(sys.argv[1:])\n"
+            "print(status, '_hashlib' in sys.modules)\n")
+    argv = ["offline-eval", "--corpus", corpus, "--mindmaps", maps, "--now", now,
+            "--preset", "all_maps_all_terms", "--out", tmp_path / "o.csv"]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "0 False\n"), done.stderr
+    assert len((tmp_path / "o.csv").read_text().splitlines()) == 4
