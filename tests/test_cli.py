@@ -832,6 +832,24 @@ class TestOfflineEvalCommand:
         assert status == 0
         assert len(out.read_text().splitlines()) == 1 + n_users
 
+    def test_users_load_in_full_in_their_own_block(self, tmp_path, monkeypatch):
+        # No user's maps are resident in full when the workers fork, and
+        # this process loads only the users of its own block.
+        loaded, load, run_tasks = [], cli._load_collection, cli._run_tasks
+
+        def counted_load(user_dir):
+            loaded.append(user_dir.name)
+            return load(user_dir)
+
+        def checked_run_tasks(tasks):
+            assert loaded == []
+            return run_tasks(tasks)
+
+        monkeypatch.setattr(cli, "_load_collection", counted_load)
+        monkeypatch.setattr(cli, "_run_tasks", checked_run_tasks)
+        status, out = self._offline_eval(tmp_path, monkeypatch, 2)
+        assert status == 0 and len(out.read_text().splitlines()) == 6
+        assert loaded == ["user00", "user01"]
 
     @pytest.mark.parametrize("cpu_count, cpus", [(3, 3), (None, 1)])
     def test_usable_cpus_without_affinity(self, monkeypatch, cpu_count, cpus):
