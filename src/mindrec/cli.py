@@ -84,24 +84,29 @@ def load_user_collections(mindmaps_dir):
     return {user_dir.name: _load_collection(user_dir) for user_dir in _user_dirs(mindmaps_dir)}
 
 
-def load_user_links(mindmaps_dir, user_id=None):
-    """(the collection of `user_id`, None without it or its directory; {user_id:
-    links of the latest maps} of every user, in sorted order, for `Corpus.freeze`).
+def load_user_links(mindmaps_dir):
+    """{user_id: links of the latest maps} of every user, in sorted order,
+    for `Corpus.freeze`.
 
-    Only `user_id` is loaded in full.  The other users' maps are read for
-    their links only, but every fault `load_user_collections` rejects
-    raises the same error, users in the same order.
+    The maps are read for their links only, but every fault
+    `load_user_collections` rejects raises the same error, users in the
+    same order.
     """
-    collection, links = None, {}
+    links = {}
     for user_dir in _user_dirs(mindmaps_dir):
-        if user_dir.name == user_id:
-            collection = _load_collection(user_dir)
-            links[user_id] = collection.links()
-        else:
-            chains, _ = _read_user(user_dir, read_map_links)
-            links[user_dir.name] = [link for chain in chains.values()
-                                    for link in chain[-1].links]
-    return collection, links
+        chains, _ = _read_user(user_dir, read_map_links)
+        links[user_dir.name] = [link for chain in chains.values() for link in chain[-1].links]
+    return links
+
+
+def _load_corpus_and_links(args):
+    """(the corpus of --corpus, `load_user_links` of --mindmaps), read at
+    once by `_run_tasks`: the links in a worker, which sends back only
+    them.  A corpus fault is raised before a map fault, as in turn."""
+    return _run_tasks([
+        (partial(load_corpus_jsonl, args.corpus), f"the worker reading {args.corpus}"),
+        (partial(load_user_links, args.mindmaps), f"the worker reading {args.mindmaps}"),
+    ])
 
 
 def replay_event_log(path):
@@ -292,10 +297,13 @@ def cmd_ingest_mindmaps(args):
 
 
 def cmd_recommend(args):
-    corpus = load_corpus_jsonl(args.corpus)
-    collection, links = load_user_links(args.mindmaps, args.user)
-    if collection is None:
+    """Every user's maps are read for their links, at once with the
+    corpus, so each map fault is raised before an unknown --user and
+    before the options are read; then the user is loaded in full."""
+    corpus, links = _load_corpus_and_links(args)
+    if args.user not in links:
         raise MindrecError(f"unknown user {args.user!r}")
+    collection = _load_collection(Path(args.mindmaps) / args.user)
     corpus.freeze(links)
     config = _load_config(args)
     catalog = _stereotype_catalog(corpus, args)
@@ -317,14 +325,14 @@ def cmd_recommend(args):
 
 
 def cmd_offline_eval(args):
-    """Every user's maps are read for their links, which freeze the corpus,
-    so each map fault is raised before the options are read and before a
-    worker forks.  Each block task then loads its users in full, one at a
-    time: only the corpus and the links are resident at the fork."""
+    """Every user's maps are read for their links, at once with the
+    corpus, and the links freeze it, so each map fault is raised before
+    the options are read and before a block worker forks.  Each block
+    task then loads its users in full, one at a time: only the corpus and
+    the links are resident at the fork."""
     if args.space and args.seed is None:
         args.usage_error("argument --space: needs --seed")
-    corpus = load_corpus_jsonl(args.corpus)
-    _, links = load_user_links(args.mindmaps)
+    corpus, links = _load_corpus_and_links(args)
     corpus.freeze(links)
     space = _parse_file(experiment.parse_space, args.space) if args.space else None
     config = None if space else _load_config(args)

@@ -821,8 +821,15 @@ class TestOfflineEvalCommand:
                              ids=["one_cpu", "one_user", "platform_without_fork"])
     def test_one_block_runs_without_fork(self, tmp_path, monkeypatch, workers, n_users,
                                          has_fork):
+        # With a second CPU the map links are read in a worker at once with
+        # the corpus, so one user's run forks that worker and no other.
+        forks, fork, links_workers = [], os.fork, 1 if n_users == 1 else 0
+
         def no_fork():
-            raise AssertionError("forked")
+            forks.append(None)
+            if len(forks) > links_workers:
+                raise AssertionError("forked")
+            return fork()
 
         if has_fork:
             monkeypatch.setattr(os, "fork", no_fork)
@@ -830,6 +837,7 @@ class TestOfflineEvalCommand:
             monkeypatch.delattr(os, "fork")
         status, out = self._offline_eval(tmp_path, monkeypatch, workers, n_users=n_users)
         assert status == 0
+        assert len(forks) == links_workers
         assert len(out.read_text().splitlines()) == 1 + n_users
 
     def test_users_load_in_full_in_their_own_block(self, tmp_path, monkeypatch):
@@ -956,6 +964,119 @@ class TestOnlineReadsAtOnce:
         monkeypatch.setattr(cli, "usable_cpus", lambda: workers)
         assert run(self._argv(tmp_path, command)) == 0
         assert (tmp_path / "out").exists()
+
+
+class TestMapLinksReadAtOnce:
+    """`recommend` and `offline-eval` read every user's map links in a
+    worker process while this one loads the corpus, and either stops as
+    one process reading them in turn would."""
+
+    @staticmethod
+    def _argv(command, corpus_path, maps_dir, now, out, user="user00"):
+        argv = [command, "--corpus", corpus_path, "--mindmaps", maps_dir, "--seed", 3,
+                "--now", now, "--preset", "all_maps_all_terms", "--out", out]
+        return argv + (["--user", user] if command == "recommend" else [])
+
+    @pytest.mark.parametrize("death, how", [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+        (lambda: os._exit(0), "sent a short reply"),
+        (lambda: [][0], "exited with status 1"),
+    ], ids=["exit_status", "signal", "short_reply", "unexpected_exception"])
+    @pytest.mark.parametrize("command", ["recommend", "offline-eval"])
+    def test_dead_worker_names_the_maps(self, tmp_path, capsys, monkeypatch, command, death,
+                                        how):
+        test_pid = os.getpid()
+        real = cli.load_user_links
+
+        def dying(*args):
+            if os.getpid() != test_pid:  # only in a forked worker
+                death()
+            return real(*args)
+
+        monkeypatch.setattr(cli, "load_user_links", dying)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=3)
+        out = tmp_path / "out.csv"
+        assert run(self._argv(command, corpus_path, maps_dir, now, out)) == 1
+        assert_no_child_left()
+        assert capsys.readouterr().err == f"error: the worker reading {maps_dir} {how}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("command", ["recommend", "offline-eval"])
+    def test_corpus_fault_named_before_a_map_fault(self, tmp_path, capsys, monkeypatch,
+                                                   command, workers):
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=3)
+        with open(corpus_path, "a", encoding="utf-8") as handle:
+            handle.write('{"title": ""}\n')
+        (maps_dir / "user01" / "bad.mm").write_bytes(b"<map>\n")
+        monkeypatch.setattr(cli, "usable_cpus", lambda: workers)
+        out = tmp_path / "out.csv"
+        assert run(self._argv(command, corpus_path, maps_dir, now, out)) == 1
+        assert_no_child_left()
+        assert capsys.readouterr().err == f"error: {corpus_path}: line 31: record has no title\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("user", ["ghost", "user01"], ids=["unknown_user", "that_user"])
+    def test_map_fault_named_as_ingest_names_it(self, tmp_path, capsys, monkeypatch, user,
+                                                workers):
+        # a map fault comes before an unknown --user, and in the requested
+        # user's own maps it is the line of ingest-mindmaps
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=3)
+        (maps_dir / "user01" / "m.mm").write_bytes(b'<map><node ID="a"><node ID="a"/></node></map>')
+        assert run(["ingest-mindmaps", "--mindmaps", maps_dir]) == 1
+        err = capsys.readouterr().err
+        monkeypatch.setattr(cli, "usable_cpus", lambda: workers)
+        out = tmp_path / "out.csv"
+        assert run(self._argv("recommend", corpus_path, maps_dir, now, out, user)) == 1
+        assert_no_child_left()
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["recommend", "offline-eval"])
+    def test_links_read_in_another_process(self, tmp_path, monkeypatch, command):
+        pids = tmp_path / "pids"
+
+        def recorded(name, real):
+            def read(*args):
+                with open(pids, "a", encoding="utf-8") as handle:
+                    handle.write(f"{name} {os.getpid()}\n")
+                return real(*args)
+            return read
+
+        for name in ("load_corpus_jsonl", "load_user_links"):
+            monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name)))
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path, n_users=3)
+        out = tmp_path / "out.csv"
+        assert run(self._argv(command, corpus_path, maps_dir, now, out)) == 0
+        assert_no_child_left()
+        readers = dict(line.split() for line in pids.read_text().splitlines())
+        assert readers["load_corpus_jsonl"] == str(os.getpid())
+        assert readers["load_user_links"] != str(os.getpid())
+
+    @pytest.mark.parametrize("workers, has_fork", [(1, True), (4, False)],
+                             ids=["one_cpu", "platform_without_fork"])
+    def test_recommend_runs_without_fork(self, tmp_path, monkeypatch, workers, has_fork):
+        corpus_path, maps_dir, now = write_cli_fixture(tmp_path)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+        want = tmp_path / "want.csv"
+        assert run(self._argv("recommend", corpus_path, maps_dir, now, want, "user01")) == 0
+        assert_no_child_left()
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        if has_fork:
+            monkeypatch.setattr(os, "fork", no_fork)
+        else:
+            monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(cli, "usable_cpus", lambda: workers)
+        out = tmp_path / "out.csv"
+        assert run(self._argv("recommend", corpus_path, maps_dir, now, out, "user01")) == 0
+        assert out.read_bytes() == want.read_bytes()
 
 
 class TestMissingInput:
@@ -1288,7 +1409,7 @@ class TestInputEncodings:
         (maps_dir / "user00" / "declared.mm").write_bytes(data)
         assert run(["ingest-mindmaps", "--mindmaps", maps_dir]) == 0
         assert "user00: 2 maps, 12 nodes" in capsys.readouterr().out
-        links = cli.load_user_links(maps_dir, "user01")[1]["user00"]
+        links = cli.load_user_links(maps_dir)["user00"]
         assert "Café study" in links
         # user00 is built in full; as user01 asks, user00 is read for its links
         for user in ("user00", "user01"):

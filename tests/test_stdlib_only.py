@@ -36,9 +36,9 @@ def test_package_imports_only_stdlib():
 
 
 def test_cli_import_loads_no_worker_modules():
-    # Only a command that starts a worker imports multiprocessing: offline-eval
-    # with a second block of users, and metrics --sets and export --events
-    # with a second CPU.  Only a digest loads OpenSSL (_hashlib).
+    # Only a command that starts a worker imports multiprocessing: recommend,
+    # offline-eval, metrics --sets and export --events with a second CPU.
+    # Only a digest loads OpenSSL (_hashlib).
     code = ("import sys, mindrec.cli\n"
             "print(sorted({'multiprocessing', 'pickle', 'socket', '_hashlib'}"
             " & set(sys.modules)))\n")
