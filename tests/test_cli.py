@@ -825,14 +825,14 @@ class TestOfflineEvalCommand:
         # the corpus, so one user's run forks that worker and no other.
         forks, fork, links_workers = [], os.fork, 1 if n_users == 1 else 0
 
-        def no_fork():
+        def counted_fork():
             forks.append(None)
             if len(forks) > links_workers:
                 raise AssertionError("forked")
             return fork()
 
         if has_fork:
-            monkeypatch.setattr(os, "fork", no_fork)
+            monkeypatch.setattr(os, "fork", counted_fork)
         else:
             monkeypatch.delattr(os, "fork")
         status, out = self._offline_eval(tmp_path, monkeypatch, workers, n_users=n_users)
@@ -989,10 +989,10 @@ class TestMapLinksReadAtOnce:
         test_pid = os.getpid()
         real = cli.load_user_links
 
-        def dying(*args):
+        def dying(mindmaps_dir):
             if os.getpid() != test_pid:  # only in a forked worker
                 death()
-            return real(*args)
+            return real(mindmaps_dir)
 
         monkeypatch.setattr(cli, "load_user_links", dying)
         monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
